@@ -21,6 +21,7 @@ from .model import (
     InteractionEvent,
     Team,
     normalize_actor,
+    partition_by_team,
     restrict_to_team,
     validate_log,
 )
@@ -58,6 +59,7 @@ from .windows import (
     contribution_index,
     parse_duration,
     series,
+    series_by_metric,
 )
 
 __version__ = "0.1.0"
@@ -99,6 +101,7 @@ __all__ = [
     "parse_duration",
     "parse_events",
     "parse_teams",
+    "partition_by_team",
     "pearson_r",
     "prompt_response_time",
     "responsiveness",
@@ -106,6 +109,7 @@ __all__ = [
     "rotating_signal",
     "segment_frames",
     "series",
+    "series_by_metric",
     "surface",
     "t_cdf",
     "team_signals",

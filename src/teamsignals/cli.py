@@ -25,7 +25,14 @@ from .ingest import (
     parse_teams,
     write_events_csv,
 )
-from .model import EmptyLogError, EventLog, Team, restrict_to_team, validate_log
+from .model import (
+    EmptyLogError,
+    EventLog,
+    Team,
+    partition_by_team,
+    restrict_to_team,
+    validate_log,
+)
 from .signals import ExtremaPolicy, TeamSignals, team_signals
 from .stats import NoOverlapError, correlate
 from .surfaces import surface
@@ -104,23 +111,16 @@ def _compute_all_signals(
     log: EventLog, teams: list[Team], cfg: WindowConfig, jobs: int
 ) -> tuple[dict[str, TeamSignals], dict[str, int], list[str]]:
     """Per-team signals, event counts, and ids of teams with empty logs."""
-    pending: list[tuple[str, EventLog, WindowConfig]] = []
-    skipped: list[str] = []
-    for team in sorted(teams, key=lambda t: t.team_id):
-        try:
-            team_log = restrict_to_team(log, team)
-        except EmptyLogError:
-            skipped.append(team.team_id)
-            continue
-        pending.append((team.team_id, team_log, cfg))
+    team_logs, skipped = partition_by_team(log, teams)
+    pending = [(team_id, team_logs[team_id], cfg) for team_id in sorted(team_logs)]
     if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             results = list(pool.map(_team_job, pending))
     else:
         results = [_team_job(job) for job in pending]
     signals = {team_id: sig for team_id, _, sig in results}
     n_events = {team_id: count for team_id, count, _ in results}
-    return signals, n_events, skipped
+    return signals, n_events, sorted(skipped)
 
 
 def cmd_metrics(args) -> int:

@@ -5,7 +5,7 @@ Canonical on-disk formats (all UTF-8, LF or CRLF):
 * ``events.csv``   header ``timestamp,sender,recipients``; multiple
   recipients are separated by ``;`` and expand to one event each.
 * ``events.jsonl`` one object per line: ``{"timestamp": ..., "sender": ...,
-  "recipients": [...]}``.
+  "recipients": [...]}``; the sender and every recipient are JSON strings.
 * ``teams.csv``    header ``team_id,member``.
 * ``depvars.csv``  header ``team_id,variable_name,value``.
 
@@ -154,12 +154,16 @@ def _parse_events_jsonl(path: Path) -> list[InteractionEvent]:
                 raise ParseError(path, line_no, "object needs timestamp, sender, recipients") from None
             if not isinstance(recipients, list) or not recipients:
                 raise ParseError(path, line_no, "recipients must be a non-empty array")
+            # coercing with str() would turn null into the actor "none"
+            if not isinstance(sender, str):
+                raise ParseError(path, line_no, f"sender must be a string, got {json.dumps(sender)}")
+            for r in recipients:
+                if not isinstance(r, str):
+                    raise ParseError(path, line_no, f"recipient must be a string, got {json.dumps(r)}")
             ts_text = str(ts_raw)
             if parse_ts is None:
                 parse_ts = _timestamp_parser(ts_text)
-            events.extend(
-                _expand_row(ts_text, str(sender), [str(r) for r in recipients], parse_ts, path, line_no)
-            )
+            events.extend(_expand_row(ts_text, sender, recipients, parse_ts, path, line_no))
     return events
 
 

@@ -8,6 +8,7 @@ Timestamps are kept as integer epoch seconds (UTC) throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 ActorId = str
 
@@ -145,3 +146,42 @@ def restrict_to_team(log: EventLog, team: Team) -> EventLog:
     if not kept:
         raise EmptyLogError(f"empty team log for team {team.team_id!r}")
     return EventLog(events=kept, t_start=log.t_start, t_end=log.t_end)
+
+
+def partition_by_team(
+    log: EventLog, teams: Sequence[Team]
+) -> tuple[dict[str, EventLog], list[str]]:
+    """restrict_to_team for every team at once, in one scan of the log.
+
+    Rosters may overlap: an event goes to every team whose roster holds
+    both its sender and its recipient. Returns the team logs keyed by
+    team_id, in the order of ``teams``, and the ids of teams left with no
+    events, which get no log. Every team log keeps the full log's range.
+    """
+    member_of: dict[ActorId, tuple[int, ...]] = {}
+    for i, team in enumerate(teams):
+        only = (i,)  # shared by every actor in this team alone
+        for actor in team.members:
+            prior = member_of.get(actor)
+            member_of[actor] = only if prior is None else prior + only
+    kept: list[list[InteractionEvent]] = [[] for _ in teams]
+    for e in log.events:
+        senders = member_of.get(e.sender)
+        if senders is None:
+            continue
+        recipients = member_of.get(e.recipient)
+        if recipients is None:
+            continue
+        for i in senders:
+            if i in recipients:
+                kept[i].append(e)
+    team_logs: dict[str, EventLog] = {}
+    skipped: list[str] = []
+    for team, events in zip(teams, kept):
+        if not team.members:
+            team_logs[team.team_id] = log
+        elif events:
+            team_logs[team.team_id] = EventLog(tuple(events), log.t_start, log.t_end)
+        else:
+            skipped.append(team.team_id)
+    return team_logs, skipped

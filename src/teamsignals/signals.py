@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .model import ActorId, EventLog, Team, restrict_to_team
-from .windows import WindowConfig, WindowedSeries, series
+from .windows import WindowConfig, WindowedSeries, series_by_metric
 
 ResponseVariant = Literal["et", "fn"]
 
@@ -188,13 +188,36 @@ def responsiveness(
     """
     if variant not in ("et", "fn"):
         raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
+    return _responsiveness(_closed_frames(log), roster, variant)
+
+
+def _responsiveness(
+    closed: Sequence[CommunicationFrame], roster: frozenset[ActorId], variant: ResponseVariant
+) -> dict[ActorId, float]:
     samples: dict[ActorId, list[float]] = defaultdict(list)
-    for frame in _closed_frames(log):
+    for frame in closed:
         if frame.target in roster:
             samples[frame.target].append(
                 float(frame.elapsed_time if variant == "et" else frame.nudges)
             )
     return {a: sum(vals) / len(vals) for a, vals in samples.items()}
+
+
+def _event_weights(log: EventLog) -> dict[ActorId, int]:
+    """Number of events each actor appears in, as sender or recipient."""
+    weight: dict[ActorId, int] = defaultdict(int)
+    for e in log.events:
+        weight[e.sender] += 1
+        weight[e.recipient] += 1
+    return weight
+
+
+def _weighted_mean(rcf: dict[ActorId, float], weight: dict[ActorId, int]) -> float | None:
+    if not rcf:
+        return None
+    num = sum(value * weight[a] for a, value in rcf.items())
+    den = sum(weight[a] for a in rcf)
+    return num / den
 
 
 def prompt_response_time(
@@ -206,16 +229,7 @@ def prompt_response_time(
     in (as sender or recipient). Actors with no defined RCF are excluded
     from numerator and denominator; returns None when nobody has one.
     """
-    rcf = responsiveness(log, roster, variant)
-    if not rcf:
-        return None
-    weight: dict[ActorId, int] = defaultdict(int)
-    for e in log.events:
-        weight[e.sender] += 1
-        weight[e.recipient] += 1
-    num = sum(value * weight[a] for a, value in rcf.items())
-    den = sum(weight[a] for a in rcf)
-    return num / den
+    return _weighted_mean(responsiveness(log, roster, variant), _event_weights(log))
 
 
 def team_signals(
@@ -224,16 +238,21 @@ def team_signals(
     cfg: WindowConfig,
     policy: ExtremaPolicy = ExtremaPolicy(),
 ) -> TeamSignals:
-    """Full per-team signal computation: RL, RC and both PRT variants."""
+    """Full per-team signal computation: RL, RC and both PRT variants.
+
+    Each layer runs once: one grid pass yields both series, and one frame
+    pass yields both PRT variants and the closed-frame count.
+    """
     team_log = restrict_to_team(log, team)
     roster = team_log.actors()
-    bc = series(team_log, cfg, "bc")
-    ci = series(team_log, cfg, "ci")
+    by_metric = series_by_metric(team_log, cfg, ("bc", "ci"))
+    closed = _closed_frames(team_log)
+    weight = _event_weights(team_log)
     return TeamSignals(
-        rl=rotating_signal(bc, policy),
-        rc=rotating_signal(ci, policy),
-        prt_et=prompt_response_time(team_log, roster, "et"),
-        prt_fn=prompt_response_time(team_log, roster, "fn"),
+        rl=rotating_signal(by_metric["bc"], policy),
+        rc=rotating_signal(by_metric["ci"], policy),
+        prt_et=_weighted_mean(_responsiveness(closed, roster, "et"), weight),
+        prt_fn=_weighted_mean(_responsiveness(closed, roster, "fn"), weight),
         n_actors=len(roster),
-        n_closed_frames=len(_closed_frames(team_log)),
+        n_closed_frames=len(closed),
     )

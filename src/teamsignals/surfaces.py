@@ -7,10 +7,8 @@ and fall as leadership or contribution rotates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
-from .ingest import format_timestamp
 from .windows import Metric, WindowedSeries
 
 
@@ -36,11 +34,3 @@ def surface(ws: WindowedSeries) -> SurfaceMatrix:
         rows.append(tuple(-neg for neg, _ in ranked))
     return SurfaceMatrix(metric=ws.metric, steps=ws.steps, rows=tuple(rows))
 
-
-def write_surface_csv(matrix: SurfaceMatrix, path) -> None:
-    """surface.csv: ISO-8601 window_end plus rank_1..rank_n columns."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_end"] + [f"rank_{i + 1}" for i in range(matrix.n_ranks)])
-        for end, row in zip(matrix.steps, matrix.rows):
-            writer.writerow([format_timestamp(end)] + [f"{v:.6f}" for v in row])

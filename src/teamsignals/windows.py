@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -144,30 +143,29 @@ def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
             continue  # reaches nothing, contributes nothing
         dist = [-1] * n
         sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
+        preds: list[list[int] | None] = [None] * n
         dist[s] = 0
         sigma[s] = 1
-        queue = deque([s])
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        order = [s]  # visit order and BFS queue: the loop also visits what it appends
+        for v in order:
             next_dist = dist[v] + 1
             sigma_v = sigma[v]
             for w in adjacency[v]:
                 if dist[w] < 0:
                     dist[w] = next_dist
-                    queue.append(w)
-                if dist[w] == next_dist:
+                    order.append(w)
+                    sigma[w] = sigma_v
+                    preds[w] = [v]
+                elif dist[w] == next_dist:
                     sigma[w] += sigma_v
                     preds[w].append(v)
         delta = [0.0] * n
-        for w in reversed(order):
+        # the source is order[0]; it has no predecessors and no score to add
+        for w in order[:0:-1]:
             coeff = (1.0 + delta[w]) / sigma[w]
             for v in preds[w]:
                 delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
+            bc[w] += delta[w]
     return bc
 
 
@@ -206,29 +204,57 @@ def series(
     The roster defaults to every actor appearing in the log and is fixed
     across windows, so all vectors share the grid length.
     """
-    if metric not in ("bc", "ci"):
-        raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
+    return series_by_metric(log, cfg, (metric,), roster)[metric]
+
+
+def series_by_metric(
+    log: EventLog,
+    cfg: WindowConfig,
+    metrics: Sequence[Metric],
+    roster: Iterable[ActorId] | None = None,
+) -> dict[Metric, WindowedSeries]:
+    """series for each of several metrics, from one pass over the grid.
+
+    Each window is built once and yields every requested metric, and only
+    those. A window whose set of edges equals the previous window's reuses
+    its betweenness: the adjacency is the same, so every float is too.
+    """
+    for metric in metrics:
+        if metric not in ("bc", "ci"):
+            raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
     actors = sorted(log.actors() if roster is None else frozenset(roster))
     snapshots = build_snapshots(log, cfg, actors)
-    values: dict[ActorId, list[float]] = {a: [] for a in actors}
+    values: dict[Metric, dict[ActorId, list[float]]] = {
+        m: {a: [] for a in actors} for m in metrics
+    }
     presence: dict[ActorId, list[bool]] = {a: [] for a in actors}
+    prev_edges = None
+    scores: dict[ActorId, float] = {}
     for snap in snapshots:
         sent: dict[ActorId, int] = {}
         received: dict[ActorId, int] = {}
         for (src, dst), count in snap.edges.items():
             sent[src] = sent.get(src, 0) + count
             received[dst] = received.get(dst, 0) + count
-        scores = betweenness(snap) if metric == "bc" else None
         for a in actors:
-            active = a in sent or a in received
-            presence[a].append(active)
-            if metric == "bc":
-                values[a].append(scores[a])
-            else:
-                values[a].append(contribution_index(sent.get(a, 0), received.get(a, 0)))
-    return WindowedSeries(
-        metric=metric,
-        steps=tuple(s.window_end for s in snapshots),
-        values={a: tuple(v) for a, v in values.items()},
-        presence={a: tuple(p) for a, p in presence.items()},
-    )
+            presence[a].append(a in sent or a in received)
+        if "bc" in values:
+            if snap.edges.keys() != prev_edges:
+                scores = betweenness(snap)
+            prev_edges = snap.edges.keys()
+            for a, vec in values["bc"].items():
+                vec.append(scores[a])
+        if "ci" in values:
+            for a, vec in values["ci"].items():
+                vec.append(contribution_index(sent.get(a, 0), received.get(a, 0)))
+    steps = tuple(s.window_end for s in snapshots)
+    frozen_presence = {a: tuple(p) for a, p in presence.items()}
+    return {
+        m: WindowedSeries(
+            metric=m,
+            steps=steps,
+            values={a: tuple(v) for a, v in by_actor.items()},
+            presence=frozen_presence,
+        )
+        for m, by_actor in values.items()
+    }

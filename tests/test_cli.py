@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from teamsignals import cli
 from teamsignals.cli import main
 
 EVENTS_HEADER = "timestamp,sender,recipients\n"
@@ -48,6 +51,23 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--events", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '{"timestamp": 200, "sender": null, "recipients": ["b"]}',
+            '{"timestamp": 200, "sender": "a", "recipients": ["b", 5]}',
+            '{"timestamp": 200, "sender": "a", "recipients": [true]}',
+            '{"timestamp": 200, "sender": "a", "recipients": [{"id": "b"}]}',
+        ],
+    )
+    def test_non_string_actor_names_line(self, tmp_path, capsys, row):
+        good = '{"timestamp": 100, "sender": "a", "recipients": ["b"]}'
+        path = write(tmp_path, "events.jsonl", f"{good}\n{row}\n")
+        assert main(["validate", "--events", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "events.jsonl:2:" in err
+        assert "must be a string" in err
 
 
 class TestMetrics:
@@ -150,6 +170,20 @@ class TestSurface:
             values = [float(v) for v in line.split(",")[1:]]
             assert values == sorted(values, reverse=True)
 
+    def test_csv_format(self, tmp_path):
+        # ci per window: (10:37, 12:37] a sends twice; (11:37, 13:37] a 1:2 b
+        rows = ["2010-06-13T11:37:00Z,a,b", "2010-06-13T12:37:00Z,a,b",
+                "2010-06-13T13:00:00Z,b,a", "2010-06-13T13:10:00Z,b,a"]
+        events = write(tmp_path, "events.csv", EVENTS_HEADER + "\n".join(rows) + "\n")
+        rc = main(["surface", "--events", str(events), "--metric", "ci",
+                   "--window", "2h", "--step", "1h", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "surface.csv").read_text().splitlines()
+        assert lines[0] == "window_end,rank_1,rank_2"
+        assert lines[1] == "2010-06-13T12:37:00Z,1.000000,-1.000000"
+        assert lines[2] == "2010-06-13T13:37:00Z,0.333333,-0.333333"
+        assert len(lines) == 3
+
 
 class TestCorrelate:
     def test_requires_depvars(self, tmp_path, capsys):
@@ -215,6 +249,31 @@ class TestCorrelate:
         assert (tmp_path / "j1" / "signals.csv").read_bytes() == (
             tmp_path / "j2" / "signals.csv"
         ).read_bytes()
+
+    def test_jobs_capped_at_team_count(self, tmp_path, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        events = write(tmp_path, "events.csv", EVENTS_HEADER + "0,a,b\n3600,c,d\n7200,b,a\n")
+        teams = write(tmp_path, "teams.csv", "team_id,member\ng1,a\ng1,b\ng2,c\ng2,d\n")
+        rc = main(["metrics", "--events", str(events), "--teams", str(teams),
+                   "--window", "2h", "--step", "1h", "--jobs", "64", "--out", str(tmp_path)])
+        assert rc == 0
+        assert started == [2]
+        assert len((tmp_path / "signals.csv").read_text().splitlines()) == 3
 
 
 class TestSynthCommand:

@@ -1,0 +1,176 @@
+"""The one-pass layers equal the per-team, per-metric compositions they replace.
+
+Every comparison is exact (==): the one-pass code must reproduce each float
+bit for bit, not approximately.
+"""
+
+from collections import deque
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teamsignals import windows
+from teamsignals.model import (
+    EmptyLogError,
+    InteractionEvent,
+    Team,
+    partition_by_team,
+    restrict_to_team,
+    validate_log,
+)
+from teamsignals.signals import (
+    TeamSignals,
+    _closed_frames,
+    prompt_response_time,
+    rotating_signal,
+    team_signals,
+)
+from teamsignals.windows import (
+    WindowConfig,
+    betweenness,
+    brandes_betweenness,
+    build_snapshots,
+    series,
+    series_by_metric,
+)
+
+LOG_ACTORS = "abcdef"
+ROSTER_ACTORS = LOG_ACTORS + "xy"  # x and y never appear in a log
+
+# coarse timestamps and overlapping windows, so consecutive windows often
+# hold the same edge set and betweenness reuse is exercised
+logs = (
+    st.lists(
+        st.tuples(st.sampled_from(LOG_ACTORS), st.sampled_from(LOG_ACTORS), st.integers(0, 16)),
+        min_size=1,
+        max_size=40,
+    )
+    .filter(lambda rows: any(s != r for s, r, _ in rows))
+    .map(lambda rows: validate_log([InteractionEvent(s, r, 900 * t) for s, r, t in rows]).log)
+)
+# overlapping rosters, roster actors absent from the log, and rosters with
+# no events; an empty roster is the whole log
+team_lists = st.lists(
+    st.frozensets(st.sampled_from(ROSTER_ACTORS), max_size=5), min_size=1, max_size=6
+).map(lambda rosters: [Team(f"t{i}", members) for i, members in enumerate(rosters)])
+configs = st.builds(
+    lambda step, mult: WindowConfig(step * mult, step),
+    st.sampled_from([900, 1800, 3600]),
+    st.integers(1, 4),
+)
+
+
+@settings(deadline=None)
+@given(logs, team_lists)
+def test_partition_equals_restrict_to_team(log, teams):
+    team_logs, skipped = partition_by_team(log, teams)
+    expected: dict = {}
+    expected_skipped = []
+    for team in teams:
+        try:
+            expected[team.team_id] = restrict_to_team(log, team)
+        except EmptyLogError:
+            expected_skipped.append(team.team_id)
+    assert team_logs == expected
+    assert list(team_logs) == list(expected)
+    assert skipped == expected_skipped
+
+
+@settings(deadline=None)
+@given(logs, team_lists, configs)
+def test_team_signals_equals_per_metric_composition(log, teams, cfg):
+    for team in teams:
+        try:
+            team_log = restrict_to_team(log, team)
+        except EmptyLogError:
+            continue
+        roster = team_log.actors()
+        expected = TeamSignals(
+            rl=rotating_signal(series(team_log, cfg, "bc")),
+            rc=rotating_signal(series(team_log, cfg, "ci")),
+            prt_et=prompt_response_time(team_log, roster, "et"),
+            prt_fn=prompt_response_time(team_log, roster, "fn"),
+            n_actors=len(roster),
+            n_closed_frames=len(_closed_frames(team_log)),
+        )
+        assert team_signals(log, team, cfg) == expected
+
+
+@settings(deadline=None)
+@given(logs, configs)
+def test_reused_betweenness_equals_fresh_betweenness(log, cfg):
+    by_metric = series_by_metric(log, cfg, ("bc", "ci"))
+    bc = by_metric["bc"]
+    assert by_metric["ci"] == series(log, cfg, "ci")
+    assert bc == series(log, cfg, "bc")
+    snapshots = build_snapshots(log, cfg, bc.actors())
+    assert bc.steps == tuple(s.window_end for s in snapshots)
+    for k, snap in enumerate(snapshots):
+        fresh = betweenness(snap)
+        assert {a: bc.values[a][k] for a in bc.actors()} == fresh
+
+
+def test_repeated_edge_set_computes_betweenness_once(monkeypatch):
+    calls = []
+    real = windows.betweenness
+
+    def counting(snapshot):
+        calls.append(snapshot.window_end)
+        return real(snapshot)
+
+    monkeypatch.setattr(windows, "betweenness", counting)
+    # a->b->c repeats every hour: every 3h window holds the same edge set
+    events = [InteractionEvent(s, r, 3600 * h + m)
+              for h in range(8) for s, r, m in (("a", "b", 0), ("b", "c", 60))]
+    log = validate_log(events).log
+    ws = series(log, WindowConfig(3 * 3600, 3600), "bc")
+    assert len(ws.steps) == 8
+    assert len(calls) == 1
+    assert ws.values["b"] == (1.0,) * 8
+
+
+def _brandes_reference(adjacency):
+    """The Brandes loop before the trim: a deque and n pred lists per source."""
+    n = len(adjacency)
+    bc = [0.0] * n
+    for s in range(n):
+        if not adjacency[s]:
+            continue
+        dist = [-1] * n
+        sigma = [0] * n
+        preds = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1
+        queue = deque([s])
+        order = []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                bc[w] += delta[w]
+    return bc
+
+
+graphs = st.integers(1, 9).flatmap(
+    lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
+        lambda edges: [sorted(j for i, j in edges if i == v and j != v) for v in range(n)]
+    )
+)
+
+
+@settings(deadline=None)
+@given(graphs)
+def test_brandes_trim_is_bit_identical(adjacency):
+    assert brandes_betweenness(adjacency) == _brandes_reference(adjacency)

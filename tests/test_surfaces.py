@@ -1,6 +1,6 @@
 from collections import Counter
 
-from teamsignals.surfaces import surface, write_surface_csv
+from teamsignals.surfaces import surface
 from teamsignals.synth import ReplyDelay, SynthScenario, generate
 from teamsignals.windows import WindowConfig, WindowedSeries, series
 
@@ -44,16 +44,6 @@ def test_relabeling_invariant():
     base = {"a": [1.0, 0.0], "b": [0.0, 2.0], "c": [3.0, 1.0]}
     renamed = {"x" + k: v for k, v in base.items()}
     assert surface(make_series(base)).rows == surface(make_series(renamed)).rows
-
-
-def test_write_surface_csv(tmp_path):
-    ws = make_series({"a": [1.0, 0.25], "b": [0.5, 0.75]})
-    out = tmp_path / "surface.csv"
-    write_surface_csv(surface(ws), out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "window_end,rank_1,rank_2"
-    assert lines[1] == "2010-06-13T12:37:00Z,1.000000,0.500000"
-    assert lines[2] == "2010-06-13T13:37:00Z,0.750000,0.250000"
 
 
 def test_surface_matches_series_through_pipeline(tmp_path):
