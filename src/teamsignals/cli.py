@@ -23,7 +23,6 @@ from .ingest import (
     parse_dependent_variables,
     parse_events,
     parse_teams,
-    write_events_csv,
 )
 from .model import (
     EmptyLogError,
@@ -33,25 +32,28 @@ from .model import (
     restrict_to_team,
     validate_log,
 )
-from .signals import ExtremaPolicy, TeamSignals, team_signals
+from .signals import MIN_PRESENCE_RUN, TeamSignals, team_signals
 from .stats import NoOverlapError, correlate
 from .surfaces import surface
 from .synth import generate, load_scenario_file
-from .windows import ConfigError, WindowConfig, parse_duration, series
+from .windows import ConfigError, WindowConfig, parse_duration, series, window_ends
 
-USER_ERRORS = (ParseError, ConfigError, EmptyLogError, NoOverlapError, ValueError, OSError)
+USER_ERRORS = (ParseError, ConfigError, EmptyLogError, NoOverlapError, OSError)
 
 
-def _write_atomic(path: Path, write_body) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a CSV via temp file + rename, so readers never see partial output."""
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            write_body(csv.writer(fh, lineterminator="\n"))
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
             tmp.unlink()
+    print(f"wrote {path}")
 
 
 def _fmt(value: float | None, places: int = 6) -> str:
@@ -103,7 +105,7 @@ def cmd_validate(args) -> int:
 
 def _team_job(job: tuple[str, EventLog, WindowConfig]) -> tuple[str, int, TeamSignals]:
     team_id, team_log, cfg = job
-    sig = team_signals(team_log, Team(team_id), cfg, ExtremaPolicy())
+    sig = team_signals(team_log, cfg)
     return team_id, len(team_log), sig
 
 
@@ -111,6 +113,14 @@ def _compute_all_signals(
     log: EventLog, teams: list[Team], cfg: WindowConfig, jobs: int
 ) -> tuple[dict[str, TeamSignals], dict[str, int], list[str]]:
     """Per-team signals, event counts, and ids of teams with empty logs."""
+    n_windows = len(window_ends(log, cfg))
+    if n_windows < MIN_PRESENCE_RUN:
+        # every team log spans the full log's range, so shares this grid
+        print(
+            f"warning: the window grid has {n_windows} window(s), fewer than "
+            f"{MIN_PRESENCE_RUN}: RL and RC are 0 for every team",
+            file=sys.stderr,
+        )
     team_logs, skipped = partition_by_team(log, teams)
     pending = [(team_id, team_logs[team_id], cfg) for team_id in sorted(team_logs)]
     if jobs > 1 and len(pending) > 1:
@@ -133,21 +143,15 @@ def cmd_metrics(args) -> int:
     if not signals:
         print("error: every team produced an empty log", file=sys.stderr)
         return 2
-    out = _out_dir(args) / "signals.csv"
-
-    def body(writer) -> None:
-        writer.writerow(
-            ["team_id", "n_actors", "n_events", "rl", "rc", "prt_fn", "prt_et_seconds", "n_closed_frames"]
-        )
-        for team_id in sorted(signals):
-            s = signals[team_id]
-            writer.writerow(
-                [team_id, s.n_actors, n_events[team_id], _fmt(s.rl), _fmt(s.rc),
-                 _fmt(s.prt_fn), _fmt(s.prt_et), s.n_closed_frames]
-            )
-
-    _write_atomic(out, body)
-    print(f"wrote {out}")
+    _write_csv(
+        _out_dir(args) / "signals.csv",
+        ["team_id", "n_actors", "n_events", "rl", "rc", "prt_fn", "prt_et_seconds", "n_closed_frames"],
+        (
+            [team_id, s.n_actors, n_events[team_id], _fmt(s.rl), _fmt(s.rc),
+             _fmt(s.prt_fn), _fmt(s.prt_et), s.n_closed_frames]
+            for team_id, s in sorted(signals.items())
+        ),
+    )
     return 0
 
 
@@ -164,29 +168,27 @@ def _team_series(args):
 def cmd_series(args) -> int:
     ws = _team_series(args)
     actors = ws.actors()
-    out = _out_dir(args) / "series.csv"
-
-    def body(writer) -> None:
-        writer.writerow(["window_end"] + actors)
-        for k, end in enumerate(ws.steps):
-            writer.writerow([format_timestamp(end)] + [_fmt(ws.values[a][k]) for a in actors])
-
-    _write_atomic(out, body)
-    print(f"wrote {out}")
+    _write_csv(
+        _out_dir(args) / "series.csv",
+        ["window_end"] + actors,
+        (
+            [format_timestamp(end)] + [_fmt(ws.values[a][k]) for a in actors]
+            for k, end in enumerate(ws.steps)
+        ),
+    )
     return 0
 
 
 def cmd_surface(args) -> int:
     matrix = surface(_team_series(args))
-    out = _out_dir(args) / "surface.csv"
-
-    def body(writer) -> None:
-        writer.writerow(["window_end"] + [f"rank_{i + 1}" for i in range(matrix.n_ranks)])
-        for end, row in zip(matrix.steps, matrix.rows):
-            writer.writerow([format_timestamp(end)] + [f"{v:.6f}" for v in row])
-
-    _write_atomic(out, body)
-    print(f"wrote {out}")
+    _write_csv(
+        _out_dir(args) / "surface.csv",
+        ["window_end"] + [f"rank_{i + 1}" for i in range(matrix.n_ranks)],
+        (
+            [format_timestamp(end)] + [f"{v:.6f}" for v in row]
+            for end, row in zip(matrix.steps, matrix.rows)
+        ),
+    )
     return 0
 
 
@@ -206,18 +208,15 @@ def cmd_correlate(args) -> int:
         cells = correlate(signals, depvars)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    out = _out_dir(args) / "correlations.csv"
-
-    def body(writer) -> None:
-        writer.writerow(["variable_name", "signal_name", "r", "p", "n", "stars"])
-        for cell in cells:
-            writer.writerow(
-                [cell.variable_name, cell.signal_name, _fmt(cell.r, 3),
-                 _fmt(cell.p_two_tailed, 3), cell.n, cell.stars]
-            )
-
-    _write_atomic(out, body)
-    print(f"wrote {out}")
+    _write_csv(
+        _out_dir(args) / "correlations.csv",
+        ["variable_name", "signal_name", "r", "p", "n", "stars"],
+        (
+            [cell.variable_name, cell.signal_name, _fmt(cell.r, 3),
+             _fmt(cell.p_two_tailed, 3), cell.n, cell.stars]
+            for cell in cells
+        ),
+    )
     return 0
 
 
@@ -236,17 +235,12 @@ def cmd_synth(args) -> int:
         all_events.extend(log.events)
         rosters.extend((team_id, actor) for actor in sorted(log.actors()))
     merged = validate_log(all_events).log
-    events_path = out_dir / "events.csv"
-    write_events_csv(merged, events_path)
-    teams_path = out_dir / "teams.csv"
-
-    def body(writer) -> None:
-        writer.writerow(["team_id", "member"])
-        writer.writerows(rosters)
-
-    _write_atomic(teams_path, body)
-    print(f"wrote {events_path}")
-    print(f"wrote {teams_path}")
+    _write_csv(
+        out_dir / "events.csv",
+        ["timestamp", "sender", "recipients"],
+        ([format_timestamp(e.timestamp), e.sender, e.recipient] for e in merged.events),
+    )
+    _write_csv(out_dir / "teams.csv", ["team_id", "member"], rosters)
     return 0
 
 

@@ -11,7 +11,8 @@ Canonical on-disk formats (all UTF-8, LF or CRLF):
 
 Timestamps are RFC 3339 strings or integer epoch seconds; the style is
 auto-detected from the first row and then enforced for the whole file, since
-mixed per-row formats usually indicate corruption.
+mixed per-row formats usually indicate corruption. Every timestamp must lie
+in model.MIN_TIMESTAMP..MAX_TIMESTAMP, the range format_timestamp renders.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from .model import ActorId, EventLog, InteractionEvent, Team, normalize_actor
+from .model import MAX_TIMESTAMP, MIN_TIMESTAMP, ActorId, InteractionEvent, Team, normalize_actor
+
+
+_EPOCH = datetime(1970, 1, 1)
 
 
 class ParseError(ValueError):
@@ -81,6 +85,11 @@ def _expand_row(
         ts = parse_ts(ts_text)
     except (ValueError, OverflowError, OSError) as exc:
         raise ParseError(path, line, f"malformed timestamp {ts_text!r}: {exc}") from None
+    if not MIN_TIMESTAMP <= ts <= MAX_TIMESTAMP:
+        raise ParseError(
+            path, line,
+            f"timestamp {ts_text!r} outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z",
+        )
     try:
         sender = normalize_actor(sender_text)
         recipients = [normalize_actor(r) for r in recipient_texts]
@@ -89,6 +98,34 @@ def _expand_row(
     if not recipients:
         raise ParseError(path, line, "row has no recipients")
     return [InteractionEvent(sender, r, ts) for r in recipients]
+
+
+def _csv_rows(path: Path, columns: list[str]):
+    """Yield (line, row) for each non-blank data row of a CSV file.
+
+    Checks the header against ``columns`` and each row's column count. A
+    row the csv module cannot read, or bytes that are not UTF-8, become a
+    ParseError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(path, None, "empty file")
+            if [c.strip().lower() for c in header][: len(columns)] != columns:
+                raise ParseError(path, 1, f"expected header {','.join(columns)}, got {header}")
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                line = reader.line_num
+                if len(row) < len(columns):
+                    raise ParseError(path, line, f"expected {len(columns)} columns, got {len(row)}")
+                yield line, row
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, None, f"not UTF-8 text ({exc.reason})") from None
 
 
 def parse_events(path, fmt: str | None = None) -> list[InteractionEvent]:
@@ -112,58 +149,53 @@ def parse_events(path, fmt: str | None = None) -> list[InteractionEvent]:
 def _parse_events_csv(path: Path) -> list[InteractionEvent]:
     events: list[InteractionEvent] = []
     parse_ts = None
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(path, None, "empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:3] != ["timestamp", "sender", "recipients"]:
-            raise ParseError(path, 1, f"expected header timestamp,sender,recipients, got {header}")
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise ParseError(path, line, f"expected 3 columns, got {len(row)}")
-            if parse_ts is None:
-                parse_ts = _timestamp_parser(row[0])
-            recipients = [part for part in row[2].split(";") if part.strip()]
-            if not recipients:
-                raise ParseError(path, line, "row has no recipients")
-            events.extend(_expand_row(row[0], row[1], recipients, parse_ts, path, line))
+    for line, row in _csv_rows(path, ["timestamp", "sender", "recipients"]):
+        if parse_ts is None:
+            parse_ts = _timestamp_parser(row[0])
+        recipients = [part for part in row[2].split(";") if part.strip()]
+        if not recipients:
+            raise ParseError(path, line, "row has no recipients")
+        events.extend(_expand_row(row[0], row[1], recipients, parse_ts, path, line))
     return events
+
+
+def _text_lines(path: Path):
+    """Yield (line number, line) of a UTF-8 text file; other bytes are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, None, f"not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_events_jsonl(path: Path) -> list[InteractionEvent]:
     events: list[InteractionEvent] = []
     parse_ts = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
-            try:
-                ts_raw = obj["timestamp"]
-                sender = obj["sender"]
-                recipients = obj["recipients"]
-            except (KeyError, TypeError):
-                raise ParseError(path, line_no, "object needs timestamp, sender, recipients") from None
-            if not isinstance(recipients, list) or not recipients:
-                raise ParseError(path, line_no, "recipients must be a non-empty array")
-            # coercing with str() would turn null into the actor "none"
-            if not isinstance(sender, str):
-                raise ParseError(path, line_no, f"sender must be a string, got {json.dumps(sender)}")
-            for r in recipients:
-                if not isinstance(r, str):
-                    raise ParseError(path, line_no, f"recipient must be a string, got {json.dumps(r)}")
-            ts_text = str(ts_raw)
-            if parse_ts is None:
-                parse_ts = _timestamp_parser(ts_text)
-            events.extend(_expand_row(ts_text, sender, recipients, parse_ts, path, line_no))
+    for line_no, line in _text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
+        try:
+            ts_raw = obj["timestamp"]
+            sender = obj["sender"]
+            recipients = obj["recipients"]
+        except (KeyError, TypeError):
+            raise ParseError(path, line_no, "object needs timestamp, sender, recipients") from None
+        if not isinstance(recipients, list) or not recipients:
+            raise ParseError(path, line_no, "recipients must be a non-empty array")
+        # coercing with str() would turn null into the actor "none"
+        if not isinstance(sender, str):
+            raise ParseError(path, line_no, f"sender must be a string, got {json.dumps(sender)}")
+        for r in recipients:
+            if not isinstance(r, str):
+                raise ParseError(path, line_no, f"recipient must be a string, got {json.dumps(r)}")
+        ts_text = str(ts_raw)
+        if parse_ts is None:
+            parse_ts = _timestamp_parser(ts_text)
+        events.extend(_expand_row(ts_text, sender, recipients, parse_ts, path, line_no))
     return events
 
 
@@ -174,31 +206,18 @@ def parse_teams(path) -> list[Team]:
     """
     path = Path(path)
     members: dict[str, set[ActorId]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(path, None, "empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["team_id", "member"]:
-            raise ParseError(path, 1, f"expected header team_id,member, got {header}")
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ParseError(path, line, f"expected 2 columns, got {len(row)}")
-            team_id = row[0].strip()
-            if not team_id:
-                raise ParseError(path, line, "empty team_id")
-            try:
-                member = normalize_actor(row[1])
-            except ValueError as exc:
-                raise ParseError(path, line, str(exc)) from None
-            roster = members.setdefault(team_id, set())
-            if member in roster:
-                warnings.warn(f"{path}:{line}: duplicate member {member!r} in team {team_id!r}")
-            roster.add(member)
+    for line, row in _csv_rows(path, ["team_id", "member"]):
+        team_id = row[0].strip()
+        if not team_id:
+            raise ParseError(path, line, "empty team_id")
+        try:
+            member = normalize_actor(row[1])
+        except ValueError as exc:
+            raise ParseError(path, line, str(exc)) from None
+        roster = members.setdefault(team_id, set())
+        if member in roster:
+            warnings.warn(f"{path}:{line}: duplicate member {member!r} in team {team_id!r}")
+        roster.add(member)
     if not members:
         raise ParseError(path, None, "no team rows")
     return [Team(team_id, frozenset(roster)) for team_id, roster in sorted(members.items())]
@@ -208,46 +227,27 @@ def parse_dependent_variables(path) -> DependentVariableTable:
     """Read the per-team outcome table; duplicate keys are an error."""
     path = Path(path)
     values: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(path, None, "empty file")
-        cols = [c.strip().lower() for c in header]
-        if cols[:3] != ["team_id", "variable_name", "value"]:
-            raise ParseError(path, 1, f"expected header team_id,variable_name,value, got {header}")
-        for row in reader:
-            line = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 3:
-                raise ParseError(path, line, f"expected 3 columns, got {len(row)}")
-            key = (row[0].strip(), row[1].strip())
-            if not key[0] or not key[1]:
-                raise ParseError(path, line, "empty team_id or variable_name")
-            if key in values:
-                raise ParseError(path, line, f"duplicate (team_id, variable) {key}")
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise ParseError(path, line, f"non-numeric value {row[2]!r}") from None
-            if value != value or value in (float("inf"), float("-inf")):
-                raise ParseError(path, line, f"non-finite value {row[2]!r}")
-            values[key] = value
+    for line, row in _csv_rows(path, ["team_id", "variable_name", "value"]):
+        key = (row[0].strip(), row[1].strip())
+        if not key[0] or not key[1]:
+            raise ParseError(path, line, "empty team_id or variable_name")
+        if key in values:
+            raise ParseError(path, line, f"duplicate (team_id, variable) {key}")
+        try:
+            value = float(row[2])
+        except ValueError:
+            raise ParseError(path, line, f"non-numeric value {row[2]!r}") from None
+        if value != value or value in (float("inf"), float("-inf")):
+            raise ParseError(path, line, f"non-finite value {row[2]!r}")
+        values[key] = value
     if not values:
         raise ParseError(path, None, "no data rows")
     return DependentVariableTable(values=values)
 
 
 def format_timestamp(ts: int) -> str:
-    """Epoch seconds to RFC 3339 UTC, e.g. 2010-06-13T12:37:00Z."""
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Epoch seconds to RFC 3339 UTC, e.g. 2010-06-13T12:37:00Z.
 
-
-def write_events_csv(log: EventLog, path) -> None:
-    """Write one row per event in canonical events.csv form."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "sender", "recipients"])
-        for e in log.events:
-            writer.writerow([format_timestamp(e.timestamp), e.sender, e.recipient])
+    Defined from MIN_TIMESTAMP to MAX_TIMESTAMP; years are always four digits.
+    """
+    return (_EPOCH + timedelta(seconds=ts)).isoformat() + "Z"

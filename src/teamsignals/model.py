@@ -12,6 +12,11 @@ from typing import Sequence
 
 ActorId = str
 
+# The range of epoch seconds that renders as an RFC 3339 UTC timestamp:
+# 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z.
+MIN_TIMESTAMP = -62135596800
+MAX_TIMESTAMP = 253402300799
+
 
 class EmptyLogError(ValueError):
     """Raised when cleaning or filtering leaves no events at all."""
@@ -34,24 +39,15 @@ class InteractionEvent:
     """One directed, timestamped communication from a sender to one recipient.
 
     ``timestamp`` is epoch seconds; sub-second input must be truncated before
-    construction. ``source_record`` is optional provenance and participates in
-    ordering and duplicate collapsing.
+    construction.
     """
 
     sender: ActorId
     recipient: ActorId
     timestamp: int
-    source_record: str | None = None
 
-    def sort_key(self) -> tuple[int, str, str, bool, str]:
-        # None sorts before "" so distinct events never share a key
-        return (
-            self.timestamp,
-            self.sender,
-            self.recipient,
-            self.source_record is not None,
-            self.source_record or "",
-        )
+    def sort_key(self) -> tuple[int, str, str]:
+        return (self.timestamp, self.sender, self.recipient)
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,9 @@ class CleanedLog:
 def validate_log(raw_events) -> CleanedLog:
     """Sort, deduplicate and range-stamp raw events.
 
-    Self-loops are dropped; exact duplicates (same sender, recipient,
-    timestamp and source_record) collapse to one event. The result is
-    totally ordered, so any permutation of the input yields the same log.
+    Self-loops are dropped; exact duplicates (same sender, recipient and
+    timestamp) collapse to one event. The result is totally ordered, so any
+    permutation of the input yields the same log.
     Raises EmptyLogError if nothing survives cleaning.
     """
     kept: list[InteractionEvent] = []

@@ -13,33 +13,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .model import ActorId, EventLog, Team, restrict_to_team
+from .model import ActorId, EventLog
 from .windows import WindowConfig, WindowedSeries, series_by_metric
 
 ResponseVariant = Literal["et", "fn"]
 
-
-@dataclass(frozen=True)
-class ExtremaPolicy:
-    """How oscillations are counted on a discrete series.
-
-    Endpoints of a run are never extrema, plateaus of equal values are
-    compressed to a single point before comparison, and only contiguous
-    present runs of at least min_presence_run windows are scanned (an
-    interior extremum needs a neighbor on each side).
-    """
-
-    endpoint_rule: str = "exclude_endpoints"
-    plateau_rule: str = "compress_plateaus"
-    min_presence_run: int = 3
-
-    def __post_init__(self) -> None:
-        if self.endpoint_rule != "exclude_endpoints":
-            raise ValueError(f"unsupported endpoint_rule {self.endpoint_rule!r}")
-        if self.plateau_rule != "compress_plateaus":
-            raise ValueError(f"unsupported plateau_rule {self.plateau_rule!r}")
-        if self.min_presence_run < 3:
-            raise ValueError("min_presence_run must be >= 3")
+# Shortest present run scanned for extrema: an interior point needs a
+# neighbor on each side.
+MIN_PRESENCE_RUN = 3
 
 
 @dataclass(frozen=True)
@@ -63,11 +44,6 @@ class CommunicationFrame:
         """Seconds from the frame's first to its last event."""
         return self.last_event - self.first_event
 
-    @property
-    def nudges(self) -> int:
-        """Number of events in the frame (the closing reply included)."""
-        return self.event_count
-
 
 @dataclass(frozen=True)
 class TeamSignals:
@@ -85,14 +61,10 @@ class TeamSignals:
     n_closed_frames: int
 
 
-def count_extrema(
-    values: Sequence[float],
-    presence: Sequence[bool],
-    policy: ExtremaPolicy = ExtremaPolicy(),
-) -> int:
+def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
     """Count strict local maxima plus minima over the present runs.
 
-    Each maximal contiguous present run of at least policy.min_presence_run
+    Each maximal contiguous present run of at least MIN_PRESENCE_RUN
     windows is scanned separately: consecutive equal values are compressed
     to one point, then interior points strictly above (or below) both
     neighbors are counted. Run endpoints never count.
@@ -109,7 +81,7 @@ def count_extrema(
         j = i
         while j < n and presence[j]:
             j += 1
-        if j - i >= policy.min_presence_run:
+        if j - i >= MIN_PRESENCE_RUN:
             run: list[float] = []
             for v in values[i:j]:
                 if not run or v != run[-1]:
@@ -123,12 +95,12 @@ def count_extrema(
     return total
 
 
-def rotating_signal(ws: WindowedSeries, policy: ExtremaPolicy = ExtremaPolicy()) -> float:
+def rotating_signal(ws: WindowedSeries) -> float:
     """Mean per-actor extrema count over the whole roster (RL or RC)."""
     actors = ws.actors()
     if not actors:
         raise ValueError("series has no actors")
-    counts = [count_extrema(ws.values[a], ws.presence[a], policy) for a in actors]
+    counts = [count_extrema(ws.values[a], ws.presence[a]) for a in actors]
     return sum(counts) / len(actors)
 
 
@@ -198,7 +170,7 @@ def _responsiveness(
     for frame in closed:
         if frame.target in roster:
             samples[frame.target].append(
-                float(frame.elapsed_time if variant == "et" else frame.nudges)
+                float(frame.elapsed_time if variant == "et" else frame.event_count)
             )
     return {a: sum(vals) / len(vals) for a, vals in samples.items()}
 
@@ -232,25 +204,22 @@ def prompt_response_time(
     return _weighted_mean(responsiveness(log, roster, variant), _event_weights(log))
 
 
-def team_signals(
-    log: EventLog,
-    team: Team,
-    cfg: WindowConfig,
-    policy: ExtremaPolicy = ExtremaPolicy(),
-) -> TeamSignals:
+def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     """Full per-team signal computation: RL, RC and both PRT variants.
 
-    Each layer runs once: one grid pass yields both series, and one frame
-    pass yields both PRT variants and the closed-frame count.
+    team_log holds one team's events: the whole log, or the result of
+    model.restrict_to_team / model.partition_by_team for a roster. Each
+    layer runs once: one roster scan, one grid pass that yields both
+    series, and one frame pass that yields both PRT variants and the
+    closed-frame count.
     """
-    team_log = restrict_to_team(log, team)
     roster = team_log.actors()
-    by_metric = series_by_metric(team_log, cfg, ("bc", "ci"))
+    by_metric = series_by_metric(team_log, cfg, ("bc", "ci"), roster)
     closed = _closed_frames(team_log)
     weight = _event_weights(team_log)
     return TeamSignals(
-        rl=rotating_signal(by_metric["bc"], policy),
-        rc=rotating_signal(by_metric["ci"], policy),
+        rl=rotating_signal(by_metric["bc"]),
+        rc=rotating_signal(by_metric["ci"]),
         prt_et=_weighted_mean(_responsiveness(closed, roster, "et"), weight),
         prt_fn=_weighted_mean(_responsiveness(closed, roster, "fn"), weight),
         n_actors=len(roster),

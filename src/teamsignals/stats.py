@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 from .ingest import DependentVariableTable
 from .signals import TeamSignals
 
-SIGNAL_NAMES = ("RL", "RC", "PRT_FN", "PRT_ET")
+# signal name in correlations.csv -> TeamSignals field, in output order
+SIGNAL_FIELDS = {"RL": "rl", "RC": "rc", "PRT_FN": "prt_fn", "PRT_ET": "prt_et"}
 
 
 class InsufficientDataError(ValueError):
@@ -163,18 +164,6 @@ class CorrelationCell:
         return significance_stars(self.p_two_tailed)
 
 
-def _signal_value(sig: TeamSignals, name: str) -> float | None:
-    if name == "RL":
-        return sig.rl
-    if name == "RC":
-        return sig.rc
-    if name == "PRT_FN":
-        return sig.prt_fn
-    if name == "PRT_ET":
-        return sig.prt_et
-    raise ValueError(f"unknown signal {name!r}")
-
-
 def correlate(
     signals: Mapping[str, TeamSignals], depvars: DependentVariableTable
 ) -> list[CorrelationCell]:
@@ -189,12 +178,12 @@ def correlate(
     cells: list[CorrelationCell] = []
     team_ids = sorted(signals)
     for variable in depvars.variable_names():
-        for signal_name in SIGNAL_NAMES:
+        for signal_name, field in SIGNAL_FIELDS.items():
             xs: list[float] = []
             ys: list[float] = []
             for team_id in team_ids:
                 value = depvars.get(team_id, variable)
-                metric = _signal_value(signals[team_id], signal_name)
+                metric = getattr(signals[team_id], field)
                 if value is None or metric is None:
                     continue
                 xs.append(metric)

@@ -43,9 +43,9 @@ class ReplyDelay:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform"):
             raise ConfigError(f"unknown reply delay kind {self.kind!r}")
-        if self.lo < 2:
+        if not self.lo >= 2:  # also rejects NaN
             raise ConfigError("reply delay must be at least 2 seconds")
-        if self.hi < self.lo:
+        if not self.hi >= self.lo:
             raise ConfigError(f"reply delay bounds out of order: {self.lo} > {self.hi}")
 
     @property
@@ -75,7 +75,7 @@ class SynthScenario:
             raise ConfigError(f"need at least 2 actors, got {self.n_actors}")
         if self.duration <= 0:
             raise ConfigError(f"duration must be positive, got {self.duration}")
-        if self.mean_event_rate <= 0:
+        if not self.mean_event_rate > 0:  # also rejects NaN
             raise ConfigError(f"mean_event_rate must be positive, got {self.mean_event_rate}")
         if self.rotation_period is not None and self.rotation_period <= 0:
             raise ConfigError(f"rotation_period must be positive, got {self.rotation_period}")
@@ -149,16 +149,22 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     Layout: {"teams": [{"team_id": ..., "n_actors": ..., "duration": "16d",
     "mean_event_rate": 6.0, "rotation_period": "4d" | null,
     "leader_share": 1.0, "reply_delay": {"kind": "fixed", "seconds": 60},
-    "seed": 1}, ...]}. Durations accept seconds or suffixed strings.
+    "seed": 1}, ...]}. Durations accept seconds or suffixed strings. Any
+    file that is not such a layout raises ConfigError naming the file.
     """
-    with open(Path(path), encoding="utf-8") as fh:
-        data = json.load(fh)
-    entries = data.get("teams")
+    try:
+        with open(Path(path), encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not a JSON scenario file: {exc}") from None
+    entries = data.get("teams") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: scenario file needs a non-empty 'teams' list")
     out: list[tuple[str, SynthScenario]] = []
     seen: set[str] = set()
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{path}: each team must be a JSON object")
         team_id = str(entry.get("team_id", "")).strip()
         if not team_id:
             raise ConfigError(f"{path}: each team needs a team_id")
@@ -166,14 +172,19 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
             raise ConfigError(f"{path}: duplicate team_id {team_id!r}")
         seen.add(team_id)
         rotation = entry.get("rotation_period")
-        scenario = SynthScenario(
-            n_actors=int(entry["n_actors"]),
-            duration=_duration(entry["duration"]),
-            mean_event_rate=float(entry["mean_event_rate"]),
-            reply_delay=_parse_reply_delay(entry["reply_delay"]),
-            rotation_period=None if rotation is None else _duration(rotation),
-            leader_share=float(entry.get("leader_share", 1.0)),
-            seed=int(entry.get("seed", 0)),
-        )
+        try:
+            scenario = SynthScenario(
+                n_actors=int(entry["n_actors"]),
+                duration=_duration(entry["duration"]),
+                mean_event_rate=float(entry["mean_event_rate"]),
+                reply_delay=_parse_reply_delay(entry["reply_delay"]),
+                rotation_period=None if rotation is None else _duration(rotation),
+                leader_share=float(entry.get("leader_share", 1.0)),
+                seed=int(entry.get("seed", 0)),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"{path}: team {team_id!r} needs key {exc}") from None
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: team {team_id!r}: {exc}") from None
         out.append((team_id, scenario))
     return out

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .model import ActorId, EventLog
+from .model import MAX_TIMESTAMP, ActorId, EventLog
 
 Metric = Literal["bc", "ci"]
 
@@ -95,13 +95,18 @@ class WindowedSeries:
 
 
 def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
-    """Grid window ends covering the log range (see module docstring)."""
+    """Grid window ends covering the log range (see module docstring).
+
+    Raises ConfigError when the last end lies past model.MAX_TIMESTAMP.
+    """
     align = log.t_start if cfg.alignment is None else cfg.alignment
     step = cfg.step
     k_min = (log.t_start - align) // step + 1
     k_max = -((align - log.t_end) // step)  # ceil((t_end - align) / step)
     if k_max < k_min:
         k_max = k_min
+    if align + k_max * step > MAX_TIMESTAMP:
+        raise ConfigError(f"the window grid (step {step}s) ends past 9999-12-31T23:59:59Z")
     return [align + k * step for k in range(k_min, k_max + 1)]
 
 

@@ -4,6 +4,9 @@ import pytest
 
 from teamsignals import cli
 from teamsignals.cli import main
+from teamsignals.ingest import parse_events
+from teamsignals.model import validate_log
+from teamsignals.synth import generate, load_scenario_file
 
 EVENTS_HEADER = "timestamp,sender,recipients\n"
 
@@ -108,6 +111,21 @@ class TestMetrics:
         assert "g2" in captured.err
         rows = (tmp_path / "o" / "signals.csv").read_text().splitlines()
         assert len(rows) == 2  # header + g1
+
+    def test_too_short_grid_warns(self, tmp_path, capsys):
+        path = write(tmp_path, "events.csv", EVENTS_HEADER + "0,a,b\n200,b,c\n400,c,a\n")
+        args = ["metrics", "--events", str(path), "--out", str(tmp_path / "o")]
+        assert main(args + ["--window", "1h", "--step", "1h"]) == 0
+        err = capsys.readouterr().err
+        assert err == (
+            "warning: the window grid has 1 window(s), fewer than 3: "
+            "RL and RC are 0 for every team\n"
+        )
+        rows = (tmp_path / "o" / "signals.csv").read_text().splitlines()
+        assert rows[1].startswith("ALL,3,3,0.000000,0.000000,")
+        # a grid of three windows is long enough
+        assert main(args + ["--window", "200s", "--step", "100s"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_all_teams_empty(self, tmp_path, capsys):
         events = alternating_events_file(tmp_path)
@@ -293,10 +311,36 @@ class TestSynthCommand:
         assert events[0] == "timestamp,sender,recipients"
         assert teams[0] == "team_id,member"
         assert all(line.startswith("alpha,alpha.") for line in teams[1:])
+        # events.csv parses back to exactly the generated log
+        [(_, scen)] = load_scenario_file(scen_path)
+        assert validate_log(parse_events(out_dir / "events.csv")).log == generate(
+            scen, actor_prefix="alpha."
+        )
         # deterministic re-run
         out2 = tmp_path / "out2"
         assert main(["synth", "--scenario", str(scen_path), "--out", str(out2)]) == 0
         assert (out_dir / "events.csv").read_bytes() == (out2 / "events.csv").read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        scenario = {
+            "teams": [
+                {"team_id": "alpha", "n_actors": 3, "duration": "1d",
+                 "mean_event_rate": 12.0, "reply_delay": {"kind": "fixed", "seconds": 45}}
+            ]
+        }
+        scen_path = write(tmp_path, "scenario.json", json.dumps(scenario))
+        rows = []
+
+        def failing_format(ts):
+            rows.append(ts)
+            if len(rows) == 3:
+                raise RuntimeError("disk gone")
+            return str(ts)
+
+        monkeypatch.setattr(cli, "format_timestamp", failing_format)
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--scenario", str(scen_path), "--out", str(out_dir)]) == 1
+        assert list(out_dir.iterdir()) == []
 
     def test_seed_override_changes_log(self, tmp_path):
         scenario = {
@@ -330,3 +374,100 @@ class TestFormatOverride:
         )
         assert main(["validate", "--events", str(path)]) == 0
         assert "events: 1" in capsys.readouterr().out
+
+
+class TestInputErrorsExitTwo:
+    """Bad input files exit 2 with a message naming the file."""
+
+    def run(self, capsys, argv, name):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert name in err
+        return err
+
+    def test_csv_field_over_limit(self, tmp_path, capsys):
+        path = write(tmp_path, "events.csv", EVENTS_HEADER + "100,a,b\n200,a," + "b" * 200_000 + "\n")
+        err = self.run(capsys, ["validate", "--events", str(path)], "events.csv:3:")
+        assert "field larger than field limit" in err
+
+    @pytest.mark.parametrize("name", ["events.csv", "events.jsonl", "teams.csv", "depvars.csv"])
+    def test_not_utf8(self, tmp_path, capsys, name):
+        files = {
+            "events.csv": EVENTS_HEADER + "0,a,b\n",
+            "events.jsonl": '{"timestamp": 0, "sender": "a", "recipients": ["b"]}\n',
+            "teams.csv": "team_id,member\ng1,a\n",
+            "depvars.csv": "team_id,variable_name,value\ng1,y,1\n",
+        }
+        for n, text in files.items():
+            (tmp_path / n).write_bytes(text.encode() + (b"\xff\n" if n == name else b""))
+        events = "events.jsonl" if name == "events.jsonl" else "events.csv"
+        argv = ["correlate", "--events", str(tmp_path / events), "--teams", str(tmp_path / "teams.csv"),
+                "--depvars", str(tmp_path / "depvars.csv"), "--out", str(tmp_path / "o")]
+        err = self.run(capsys, argv, name)
+        assert "not UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"teams": [{"team_id": "a", "duration": "1d", "mean_event_rate": 12.0, '
+             '"reply_delay": {"kind": "fixed", "seconds": 45}}]}', "n_actors"),
+            ('[{"team_id": "a"}]', "'teams' list"),
+            ('{"teams": [{"team_id": "a", "n_actors": "three", "duration": "1d", '
+             '"mean_event_rate": 12.0, "reply_delay": {"kind": "fixed", "seconds": 45}}]}', "three"),
+            ('{"teams": [', "not a JSON scenario"),
+            ('{"teams": [{"team_id": "a", "n_actors": 1e400, "duration": "1d", '
+             '"mean_event_rate": 12.0, "reply_delay": {"kind": "fixed", "seconds": 45}}]}', "infinity"),
+            ('{"teams": [{"team_id": "a", "n_actors": 3, "duration": "1d", "mean_event_rate": 12.0, '
+             '"reply_delay": {"kind": "uniform", "lo": 30, "hi": NaN}}]}', "out of order"),
+        ],
+    )
+    def test_bad_scenario(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "scenario.json", text)
+        err = self.run(capsys, ["synth", "--scenario", str(path), "--out", str(tmp_path)], "scenario.json")
+        assert message in err
+
+    def test_internal_value_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "validate_log", broken)
+        path = clean_events_file(tmp_path)
+        assert main(["validate", "--events", str(path)]) == 1
+        assert capsys.readouterr().err == "internal error: bug\n"
+
+
+class TestTimestampRange:
+    @pytest.mark.parametrize(
+        "stamp",
+        ["100000000000000", "99999999999999999999999", "-62135596801"],
+    )
+    def test_epoch_out_of_range(self, tmp_path, capsys, stamp):
+        path = write(tmp_path, "events.csv", EVENTS_HEADER + f"100,a,b\n{stamp},b,a\n")
+        assert main(["validate", "--events", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "events.csv:3:" in captured.err
+        assert "outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z" in captured.err
+
+    def test_rfc3339_out_of_range(self, tmp_path, capsys):
+        path = write(tmp_path, "events.csv", EVENTS_HEADER + "0001-01-01T00:30:00+01:00,a,b\n")
+        assert main(["metrics", "--events", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "events.csv:2:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_range_ends_render(self, tmp_path, capsys):
+        path = write(
+            tmp_path, "events.csv",
+            EVENTS_HEADER + "0001-01-01T00:00:00Z,a,b\n9999-12-31T23:59:59Z,b,a\n",
+        )
+        assert main(["validate", "--events", str(path)]) == 0
+        assert "range: 0001-01-01T00:00:00Z .. 9999-12-31T23:59:59Z" in capsys.readouterr().out
+
+    def test_step_past_range(self, tmp_path, capsys):
+        path = clean_events_file(tmp_path)
+        argv = ["series", "--events", str(path), "--window", "4000000d", "--step", "4000000d",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "9999-12-31T23:59:59Z" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "series.csv").exists()

@@ -6,9 +6,8 @@ from teamsignals.ingest import (
     parse_dependent_variables,
     parse_events,
     parse_teams,
-    write_events_csv,
 )
-from teamsignals.model import InteractionEvent, validate_log
+from teamsignals.model import InteractionEvent
 
 
 def write(tmp_path, name, text):
@@ -122,18 +121,6 @@ def test_expansion_preserves_record_count(tmp_path):
         rows.append(f"{1000 + i},s{i},{';'.join(f'r{j}' for j in range(k))}")
     path = write(tmp_path, "events.csv", "\n".join(rows) + "\n")
     assert len(parse_events(path)) == expected
-
-
-def test_round_trip(tmp_path):
-    raw = [
-        InteractionEvent("a", "b", 1276432620),
-        InteractionEvent("b", "a", 1276432680),
-        InteractionEvent("a", "c", 1276436220),
-    ]
-    log = validate_log(raw).log
-    path = tmp_path / "out.csv"
-    write_events_csv(log, path)
-    assert validate_log(parse_events(path)).log == log
 
 
 def test_format_timestamp():

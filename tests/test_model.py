@@ -12,8 +12,8 @@ from teamsignals.model import (
 )
 
 
-def ev(sender, recipient, ts, src=None):
-    return InteractionEvent(sender, recipient, ts, src)
+def ev(sender, recipient, ts):
+    return InteractionEvent(sender, recipient, ts)
 
 
 class TestNormalizeActor:
@@ -48,19 +48,6 @@ class TestValidateLog:
         assert cleaned.log.events == (ev("a", "b", 3), ev("b", "a", 5))
         assert (cleaned.log.t_start, cleaned.log.t_end) == (3, 5)
 
-    def test_near_duplicates_kept(self):
-        # same second, different provenance: both survive
-        cleaned = validate_log([ev("a", "b", 10, "m1"), ev("a", "b", 10, "m2")])
-        assert len(cleaned.log) == 2
-
-    def test_duplicates_collapse_across_interleaved_provenance(self):
-        # None and "" share a second but must not shield the real duplicates
-        cleaned = validate_log(
-            [ev("a", "b", 10, None), ev("a", "b", 10, ""), ev("a", "b", 10, None)]
-        )
-        assert len(cleaned.log) == 2
-        assert cleaned.collapsed_duplicates == 1
-
     def test_idempotent(self):
         first = validate_log([ev("b", "a", 5), ev("a", "b", 3), ev("a", "b", 3)]).log
         second = validate_log(first.events).log
@@ -73,7 +60,6 @@ events_strategy = st.lists(
         sender=st.sampled_from("abcd"),
         recipient=st.sampled_from("abcd"),
         timestamp=st.integers(min_value=0, max_value=50),
-        source_record=st.sampled_from([None, "", "s1", "s2"]),
     ),
     min_size=1,
     max_size=30,

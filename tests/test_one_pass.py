@@ -93,7 +93,7 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
             n_actors=len(roster),
             n_closed_frames=len(_closed_frames(team_log)),
         )
-        assert team_signals(log, team, cfg) == expected
+        assert team_signals(team_log, cfg) == expected
 
 
 @settings(deadline=None)

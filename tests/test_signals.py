@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teamsignals.model import EmptyLogError, InteractionEvent, Team, validate_log
+from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import (
     CommunicationFrame,
-    ExtremaPolicy,
     count_extrema,
     prompt_response_time,
     responsiveness,
@@ -25,18 +24,6 @@ HOUR = 3600
 
 def ev(sender, recipient, ts):
     return InteractionEvent(sender, recipient, ts)
-
-
-class TestExtremaPolicy:
-    def test_min_run_floor(self):
-        with pytest.raises(ValueError):
-            ExtremaPolicy(min_presence_run=2)
-
-    def test_unknown_rules(self):
-        with pytest.raises(ValueError):
-            ExtremaPolicy(endpoint_rule="count_endpoints")
-        with pytest.raises(ValueError):
-            ExtremaPolicy(plateau_rule="keep_plateaus")
 
 
 class TestCountExtrema:
@@ -134,7 +121,7 @@ class TestSegmentFrames:
             CommunicationFrame("y", "x", 5, 5, 1, closed=False),
         ]
         assert frames[0].elapsed_time == 5
-        assert frames[0].nudges == 2
+        assert frames[0].event_count == 2
 
     def test_repeated_pings_before_reply(self):
         log = validate_log([ev("x", "y", 0), ev("x", "y", 10), ev("y", "x", 30)]).log
@@ -258,7 +245,7 @@ class TestTeamSignals:
                 ev("c", "a", 4 * HOUR), ev("a", "c", 5 * HOUR),
             ]
         ).log
-        sig = team_signals(log, Team("ALL"), WindowConfig(3 * HOUR, HOUR))
+        sig = team_signals(log, WindowConfig(3 * HOUR, HOUR))
         assert math.isclose(sig.rl, 1.0 / 3.0)
         assert math.isclose(sig.rc, 2.0 / 3.0)
         assert sig.prt_et == 3600.0
@@ -271,16 +258,24 @@ class TestTeamSignals:
         # hourly windows see one event each, so CI flips -1/+1 every step
         events = [ev("a", "b", k * HOUR) if k % 2 == 0 else ev("b", "a", k * HOUR) for k in range(6)]
         log = validate_log(events).log
-        sig = team_signals(log, Team("ALL"), WindowConfig(HOUR, HOUR))
+        sig = team_signals(log, WindowConfig(HOUR, HOUR))
         assert sig.rl == 0.0
         assert sig.rc == 3.0
         assert sig.prt_et == 3600.0
         assert sig.prt_fn == 2.0
 
-    def test_empty_team_propagates(self):
-        log = validate_log([ev("a", "b", 0), ev("b", "a", 10)]).log
-        with pytest.raises(EmptyLogError):
-            team_signals(log, Team("ghosts", frozenset(["x"])), WindowConfig(HOUR, HOUR))
+    def test_one_roster_scan(self, monkeypatch):
+        calls = []
+        actors = EventLog.actors
+
+        def counting(log):
+            calls.append(log)
+            return actors(log)
+
+        monkeypatch.setattr(EventLog, "actors", counting)
+        log = validate_log([ev("a", "b", 0), ev("b", "c", HOUR), ev("c", "a", 2 * HOUR)]).log
+        team_signals(log, WindowConfig(HOUR, HOUR))
+        assert calls == [log]
 
     def test_prt_et_scales_with_time(self):
         # stretching timestamps by c scales PRT-ET by c and nothing else
@@ -291,10 +286,8 @@ class TestTeamSignals:
         ]
         c = 3
         stretched = [ev(e.sender, e.recipient, e.timestamp * c) for e in base]
-        sig1 = team_signals(validate_log(base).log, Team("ALL"), WindowConfig(3 * HOUR, HOUR))
-        sig2 = team_signals(
-            validate_log(stretched).log, Team("ALL"), WindowConfig(3 * HOUR * c, HOUR * c)
-        )
+        sig1 = team_signals(validate_log(base).log, WindowConfig(3 * HOUR, HOUR))
+        sig2 = team_signals(validate_log(stretched).log, WindowConfig(3 * HOUR * c, HOUR * c))
         assert math.isclose(sig2.prt_et, c * sig1.prt_et)
         assert sig2.prt_fn == sig1.prt_fn
         assert math.isclose(sig2.rl, sig1.rl)
@@ -312,8 +305,8 @@ class TestTeamSignals:
             for e in events
         ]
         cfg = WindowConfig(2 * HOUR, HOUR)
-        sig1 = team_signals(validate_log(events).log, Team("ALL"), cfg)
-        sig2 = team_signals(validate_log(swapped).log, Team("ALL"), cfg)
+        sig1 = team_signals(validate_log(events).log, cfg)
+        sig2 = team_signals(validate_log(swapped).log, cfg)
         assert sig1 == sig2
 
 
@@ -331,17 +324,3 @@ def test_frames_properties_hypothesis(pairs):
     assert sum(f.event_count for f in frames) == len(log.events) + reversals
     assert all(f.event_count >= 2 for f in frames if f.closed)
     assert sum(not f.closed for f in frames) == 1
-
-
-class TestMinPresenceRun:
-    def test_longer_minimum_skips_short_runs(self):
-        values = [0, 1, 0, 1, 0]
-        presence = [True] * 5
-        assert count_extrema(values, presence, ExtremaPolicy(min_presence_run=5)) == 3
-        assert count_extrema(values[:4], presence[:4], ExtremaPolicy(min_presence_run=5)) == 0
-
-    def test_runs_gated_by_raw_length_not_compressed(self):
-        # raw run of 4 with a plateau compresses to 3 points but still counts
-        values = [0, 1, 1, 0]
-        presence = [True] * 4
-        assert count_extrema(values, presence, ExtremaPolicy(min_presence_run=4)) == 1

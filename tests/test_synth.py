@@ -99,7 +99,7 @@ class TestGenerate:
             for frame in segment_frames(log, "a000", spoke):
                 if frame.closed:
                     assert frame.elapsed_time == 60
-                    assert frame.nudges == 3
+                    assert frame.event_count == 3
 
 
 class TestScenarioFile:
