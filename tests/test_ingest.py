@@ -7,7 +7,8 @@ from teamsignals.ingest import (
     parse_events,
     parse_teams,
 )
-from teamsignals.model import InteractionEvent
+from teamsignals.cli import _write_csv
+from teamsignals.model import InteractionEvent, validate_log
 
 
 def write(tmp_path, name, text):
@@ -121,6 +122,22 @@ def test_expansion_preserves_record_count(tmp_path):
         rows.append(f"{1000 + i},s{i},{';'.join(f'r{j}' for j in range(k))}")
     path = write(tmp_path, "events.csv", "\n".join(rows) + "\n")
     assert len(parse_events(path)) == expected
+
+
+def test_round_trip(tmp_path):
+    raw = [
+        InteractionEvent("a", "b", 1276432620),
+        InteractionEvent("b", "a", 1276432680),
+        InteractionEvent("a", "c", 1276436220),
+    ]
+    log = validate_log(raw).log
+    path = tmp_path / "out.csv"
+    _write_csv(
+        path,
+        ["timestamp", "sender", "recipients"],
+        ([format_timestamp(e.timestamp), e.sender, e.recipient] for e in log.events),
+    )
+    assert validate_log(parse_events(path)).log == log
 
 
 def test_format_timestamp():
