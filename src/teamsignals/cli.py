@@ -13,6 +13,7 @@ import csv
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -56,6 +57,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     print(f"wrote {path}")
 
 
+@contextmanager
+def _warnings_to_stderr():
+    """Print the warnings raised inside the block as `warning: ...` lines.
+
+    They are printed when the block completes; an error drops them.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+
+
 def _fmt(value: float | None, places: int = 6) -> str:
     return "" if value is None else f"{value:.{places}f}"
 
@@ -71,9 +85,14 @@ def _load_log(args) -> EventLog:
     return cleaned.log
 
 
+def _parse_teams(path) -> list[Team]:
+    with _warnings_to_stderr():  # duplicate roster rows
+        return parse_teams(path)
+
+
 def _load_teams(args) -> list[Team]:
     if args.teams:
-        return parse_teams(args.teams)
+        return _parse_teams(args.teams)
     return [Team("ALL")]
 
 
@@ -158,7 +177,7 @@ def cmd_metrics(args) -> int:
 def _team_series(args):
     log = _load_log(args)
     if args.teams:
-        team = _pick_team(parse_teams(args.teams), args.team)
+        team = _pick_team(_parse_teams(args.teams), args.team)
         log = restrict_to_team(log, team)
     elif args.team:
         raise ConfigError("--team requires --teams")
@@ -203,11 +222,8 @@ def cmd_correlate(args) -> int:
     signals, _, skipped = _compute_all_signals(log, teams, cfg, args.jobs)
     for team_id in skipped:
         print(f"warning: team {team_id!r} has no events, excluded", file=sys.stderr)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _warnings_to_stderr():
         cells = correlate(signals, depvars)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
     _write_csv(
         _out_dir(args) / "correlations.csv",
         ["variable_name", "signal_name", "r", "p", "n", "stars"],

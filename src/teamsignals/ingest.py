@@ -9,19 +9,22 @@ Canonical on-disk formats (all UTF-8, LF or CRLF):
 * ``teams.csv``    header ``team_id,member``.
 * ``depvars.csv``  header ``team_id,variable_name,value``.
 
-Timestamps are RFC 3339 strings or integer epoch seconds; the style is
-auto-detected from the first row and then enforced for the whole file, since
-mixed per-row formats usually indicate corruption. Every timestamp must lie
-in model.MIN_TIMESTAMP..MAX_TIMESTAMP, the range format_timestamp renders.
+Timestamps are RFC 3339 date-times (no offset means UTC) or integer epoch
+seconds; the style is auto-detected from the first row and then enforced for
+the whole file, since mixed per-row formats usually indicate corruption.
+Every timestamp must lie in model.MIN_TIMESTAMP..MAX_TIMESTAMP, the range
+format_timestamp renders. Each parse holds one string object per actor.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
+import sys
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 from .model import MAX_TIMESTAMP, MIN_TIMESTAMP, ActorId, InteractionEvent, Team, normalize_actor
@@ -53,15 +56,38 @@ class DependentVariableTable:
         return self.values.get((team_id, variable_name))
 
 
+# RFC 3339 date-time (section 5.6); the offset may be left out, meaning UTC.
+_RFC3339 = re.compile(
+    r"(\d{4}-\d\d-\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.\d+)?(?:[Zz]|([+-])(\d\d):(\d\d))?",
+    re.ASCII,
+)
+_EPOCH_DAY = _EPOCH.toordinal()
+
+
 def _parse_rfc3339(text: str) -> int:
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    dt = datetime.fromisoformat(raw)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    # second resolution: sub-second input is truncated
-    return int(dt.replace(microsecond=0).timestamp())
+    """Epoch seconds of an RFC 3339 date-time; sub-second digits are truncated.
+
+    The same grammar on every Python version: basic format (20100101T000000Z),
+    week dates, ordinal dates and a missing seconds field are rejected.
+    """
+    m = _RFC3339.fullmatch(text.strip())
+    if m is None:
+        raise ValueError("not an RFC 3339 date-time (YYYY-MM-DDThh:mm:ss[.frac][Z|+hh:mm|-hh:mm])")
+    day, hour, minute, second, sign, off_h, off_m = m.groups()
+    hour, minute, second = int(hour), int(minute), int(second)
+    if hour > 23 or minute > 59 or second > 59:
+        raise ValueError(f"time {hour:02d}:{minute:02d}:{second:02d} out of range")
+    # date.fromisoformat reads YYYY-MM-DD alike on every version and rejects
+    # a day the month lacks
+    ts = ((date.fromisoformat(day).toordinal() - _EPOCH_DAY) * 86400
+          + hour * 3600 + minute * 60 + second)
+    if sign is None:
+        return ts
+    off_h, off_m = int(off_h), int(off_m)
+    if off_h > 23 or off_m > 59:
+        raise ValueError(f"offset {sign}{off_h:02d}:{off_m:02d} out of range")
+    offset = off_h * 3600 + off_m * 60
+    return ts - offset if sign == "+" else ts + offset
 
 
 def _timestamp_parser(sample: str):
@@ -73,28 +99,41 @@ def _timestamp_parser(sample: str):
     return lambda text: int(text.strip())
 
 
+def _new_actor(actors: dict[str, ActorId], raw: str, path, line: int) -> ActorId:
+    """Normalize a raw token not yet in actors, the file's token -> actor cache.
+
+    The normalized form is interned, so " A " and "a" map to the same object
+    and a parsed file holds one string per actor, not one per row. Callers
+    look tokens up first with ``actors.get(raw) or _new_actor(...)``.
+    """
+    try:
+        actor = sys.intern(normalize_actor(raw))
+    except ValueError as exc:
+        raise ParseError(path, line, str(exc)) from None
+    actors[raw] = actor
+    return actor
+
+
 def _expand_row(
     ts_text: str,
     sender_text: str,
     recipient_texts: list[str],
     parse_ts,
+    actors: dict[str, ActorId],
     path,
     line: int,
 ) -> list[InteractionEvent]:
     try:
         ts = parse_ts(ts_text)
-    except (ValueError, OverflowError, OSError) as exc:
+    except ValueError as exc:
         raise ParseError(path, line, f"malformed timestamp {ts_text!r}: {exc}") from None
     if not MIN_TIMESTAMP <= ts <= MAX_TIMESTAMP:
         raise ParseError(
             path, line,
             f"timestamp {ts_text!r} outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z",
         )
-    try:
-        sender = normalize_actor(sender_text)
-        recipients = [normalize_actor(r) for r in recipient_texts]
-    except ValueError as exc:
-        raise ParseError(path, line, str(exc)) from None
+    sender = actors.get(sender_text) or _new_actor(actors, sender_text, path, line)
+    recipients = [actors.get(r) or _new_actor(actors, r, path, line) for r in recipient_texts]
     if not recipients:
         raise ParseError(path, line, "row has no recipients")
     return [InteractionEvent(sender, r, ts) for r in recipients]
@@ -149,13 +188,14 @@ def parse_events(path, fmt: str | None = None) -> list[InteractionEvent]:
 def _parse_events_csv(path: Path) -> list[InteractionEvent]:
     events: list[InteractionEvent] = []
     parse_ts = None
+    actors: dict[str, ActorId] = {}
     for line, row in _csv_rows(path, ["timestamp", "sender", "recipients"]):
         if parse_ts is None:
             parse_ts = _timestamp_parser(row[0])
         recipients = [part for part in row[2].split(";") if part.strip()]
         if not recipients:
             raise ParseError(path, line, "row has no recipients")
-        events.extend(_expand_row(row[0], row[1], recipients, parse_ts, path, line))
+        events.extend(_expand_row(row[0], row[1], recipients, parse_ts, actors, path, line))
     return events
 
 
@@ -171,6 +211,7 @@ def _text_lines(path: Path):
 def _parse_events_jsonl(path: Path) -> list[InteractionEvent]:
     events: list[InteractionEvent] = []
     parse_ts = None
+    actors: dict[str, ActorId] = {}
     for line_no, line in _text_lines(path):
         if not line.strip():
             continue
@@ -195,7 +236,7 @@ def _parse_events_jsonl(path: Path) -> list[InteractionEvent]:
         ts_text = str(ts_raw)
         if parse_ts is None:
             parse_ts = _timestamp_parser(ts_text)
-        events.extend(_expand_row(ts_text, sender, recipients, parse_ts, path, line_no))
+        events.extend(_expand_row(ts_text, sender, recipients, parse_ts, actors, path, line_no))
     return events
 
 
@@ -206,14 +247,12 @@ def parse_teams(path) -> list[Team]:
     """
     path = Path(path)
     members: dict[str, set[ActorId]] = {}
+    actors: dict[str, ActorId] = {}
     for line, row in _csv_rows(path, ["team_id", "member"]):
         team_id = row[0].strip()
         if not team_id:
             raise ParseError(path, line, "empty team_id")
-        try:
-            member = normalize_actor(row[1])
-        except ValueError as exc:
-            raise ParseError(path, line, str(exc)) from None
+        member = actors.get(row[1]) or _new_actor(actors, row[1], path, line)
         roster = members.setdefault(team_id, set())
         if member in roster:
             warnings.warn(f"{path}:{line}: duplicate member {member!r} in team {team_id!r}")

@@ -18,8 +18,8 @@ from .windows import WindowConfig, WindowedSeries, series_by_metric
 
 ResponseVariant = Literal["et", "fn"]
 
-# Shortest present run scanned for extrema: an interior point needs a
-# neighbor on each side.
+# Shortest present run that can hold an extremum: an interior point needs a
+# neighbor on each side. A shorter grid makes RL and RC 0 (the CLI warns).
 MIN_PRESENCE_RUN = 3
 
 
@@ -64,10 +64,10 @@ class TeamSignals:
 def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
     """Count strict local maxima plus minima over the present runs.
 
-    Each maximal contiguous present run of at least MIN_PRESENCE_RUN
-    windows is scanned separately: consecutive equal values are compressed
-    to one point, then interior points strictly above (or below) both
-    neighbors are counted. Run endpoints never count.
+    Each maximal contiguous present run is scanned separately: consecutive
+    equal values are compressed to one point, then interior points strictly
+    above (or below) both neighbors are counted. Run endpoints never count,
+    so a run shorter than MIN_PRESENCE_RUN windows has no extremum.
     """
     if len(values) != len(presence):
         raise ValueError(f"length mismatch: {len(values)} values vs {len(presence)} presence")
@@ -81,16 +81,15 @@ def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
         j = i
         while j < n and presence[j]:
             j += 1
-        if j - i >= MIN_PRESENCE_RUN:
-            run: list[float] = []
-            for v in values[i:j]:
-                if not run or v != run[-1]:
-                    run.append(v)
-            for k in range(1, len(run) - 1):
-                if run[k] > run[k - 1] and run[k] > run[k + 1]:
-                    total += 1
-                elif run[k] < run[k - 1] and run[k] < run[k + 1]:
-                    total += 1
+        run: list[float] = []
+        for v in values[i:j]:
+            if not run or v != run[-1]:
+                run.append(v)
+        for k in range(1, len(run) - 1):
+            if run[k] > run[k - 1] and run[k] > run[k + 1]:
+                total += 1
+            elif run[k] < run[k - 1] and run[k] < run[k + 1]:
+                total += 1
         i = j
     return total
 

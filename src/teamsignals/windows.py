@@ -14,7 +14,7 @@ index (sent - received) / (sent + received).
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -212,54 +212,112 @@ def series(
     return series_by_metric(log, cfg, (metric,), roster)[metric]
 
 
+def _toggle(keys: set[int], key: int) -> None:
+    """Flip key's membership: an entry and an exit within one step cancel."""
+    if key in keys:
+        keys.remove(key)
+    else:
+        keys.add(key)
+
+
 def series_by_metric(
     log: EventLog,
     cfg: WindowConfig,
     metrics: Sequence[Metric],
     roster: Iterable[ActorId] | None = None,
 ) -> dict[Metric, WindowedSeries]:
-    """series for each of several metrics, from one pass over the grid.
+    """series for each of several metrics, from one sliding pass over the grid.
 
-    Each window is built once and yields every requested metric, and only
-    those. A window whose set of edges equals the previous window's reuses
-    its betweenness: the adjacency is the same, so every float is too.
+    Actors are numbered in sorted order and each in-roster event becomes an
+    integer (u, v) pair that enters the window state once and leaves it
+    once: an edge multiset keyed u * n + v plus running sent and received
+    counts, which give presence and the contribution index. Only the current
+    window is held. When the edge set changes, only the changed edges are
+    inserted into or removed from the sorted successor lists before
+    betweenness is recomputed: the same adjacency betweenness(snapshot)
+    builds, so every float is the same. A window whose edge set equals the
+    previous window's reuses its scores.
     """
     for metric in metrics:
         if metric not in ("bc", "ci"):
             raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
     actors = sorted(log.actors() if roster is None else frozenset(roster))
-    snapshots = build_snapshots(log, cfg, actors)
-    values: dict[Metric, dict[ActorId, list[float]]] = {
-        m: {a: [] for a in actors} for m in metrics
-    }
-    presence: dict[ActorId, list[bool]] = {a: [] for a in actors}
-    prev_edges = None
-    scores: dict[ActorId, float] = {}
-    for snap in snapshots:
-        sent: dict[ActorId, int] = {}
-        received: dict[ActorId, int] = {}
-        for (src, dst), count in snap.edges.items():
-            sent[src] = sent.get(src, 0) + count
-            received[dst] = received.get(dst, 0) + count
-        for a in actors:
-            presence[a].append(a in sent or a in received)
-        if "bc" in values:
-            if snap.edges.keys() != prev_edges:
-                scores = betweenness(snap)
-            prev_edges = snap.edges.keys()
-            for a, vec in values["bc"].items():
-                vec.append(scores[a])
-        if "ci" in values:
-            for a, vec in values["ci"].items():
-                vec.append(contribution_index(sent.get(a, 0), received.get(a, 0)))
-    steps = tuple(s.window_end for s in snapshots)
-    frozen_presence = {a: tuple(p) for a, p in presence.items()}
+    n = len(actors)
+    index = {a: i for i, a in enumerate(actors)}
+    stamps: list[int] = []
+    us: list[int] = []
+    vs: list[int] = []
+    for e in log.events:  # events outside the roster are left out, as in build_snapshots
+        u = index.get(e.sender)
+        v = index.get(e.recipient)
+        if u is not None and v is not None:
+            stamps.append(e.timestamp)
+            us.append(u)
+            vs.append(v)
+    ends = window_ends(log, cfg)
+    edges: dict[int, int] = {}  # u * n + v -> events in the window
+    sent = [0] * n
+    received = [0] * n
+    adjacency: list[list[int]] = [[] for _ in range(n)]  # sorted successor lists
+    toggled: set[int] = set()  # keys whose presence flipped since the last kernel call
+    # the rows of a window with no events; betweenness of the edgeless graph
+    presence_row = [False] * n
+    ci_row = [0.0] * n
+    scores = [0.0] * n
+    want_bc = "bc" in metrics
+    presence_rows: list[list[bool]] = []
+    rows: dict[str, list[list[float]]] = {"bc": [], "ci": []}
+    n_events = len(stamps)
+    size = cfg.window_size
+    lo = hi = 0
+    for end in ends:
+        was = lo + hi  # both only grow, so an unchanged sum means no event moved
+        while hi < n_events and stamps[hi] <= end:
+            u, v = us[hi], vs[hi]
+            key = u * n + v
+            count = edges.get(key, 0)
+            if not count:
+                _toggle(toggled, key)
+            edges[key] = count + 1
+            sent[u] += 1
+            received[v] += 1
+            hi += 1
+        while lo < hi and stamps[lo] <= end - size:
+            u, v = us[lo], vs[lo]
+            key = u * n + v
+            count = edges[key] - 1
+            if count:
+                edges[key] = count
+            else:
+                del edges[key]
+                _toggle(toggled, key)
+            sent[u] -= 1
+            received[v] -= 1
+            lo += 1
+        if lo + hi != was:
+            presence_row = [s + r > 0 for s, r in zip(sent, received)]
+            # contribution_index, inlined: the counts are never negative
+            ci_row = [(s - r) / (s + r) if s + r else 0.0 for s, r in zip(sent, received)]
+        if toggled and want_bc:
+            for key in toggled:
+                u, v = divmod(key, n)
+                if key in edges:
+                    insort(adjacency[u], v)
+                else:
+                    adjacency[u].remove(v)
+            toggled.clear()
+            scores = brandes_betweenness(adjacency)
+        presence_rows.append(presence_row)
+        rows["bc"].append(scores)
+        rows["ci"].append(ci_row)
+    steps = tuple(ends)
+    presence = dict(zip(actors, zip(*presence_rows)))
     return {
         m: WindowedSeries(
             metric=m,
             steps=steps,
-            values={a: tuple(v) for a, v in by_actor.items()},
-            presence=frozen_presence,
+            values=dict(zip(actors, zip(*rows[m]))),
+            presence=presence,
         )
-        for m, by_actor in values.items()
+        for m in dict.fromkeys(metrics)
     }

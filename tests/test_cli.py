@@ -127,6 +127,16 @@ class TestMetrics:
         assert main(args + ["--window", "200s", "--step", "100s"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_duplicate_roster_row_is_a_warning_line(self, tmp_path, capsys):
+        events = alternating_events_file(tmp_path)
+        teams = write(tmp_path, "teams.csv", "team_id,member\ng,a\ng,b\ng,a\n")
+        rc = main(
+            ["metrics", "--events", str(events), "--teams", str(teams),
+             "--window", "1h", "--step", "1h", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 0
+        assert capsys.readouterr().err == f"warning: {teams}:4: duplicate member 'a' in team 'g'\n"
+
     def test_all_teams_empty(self, tmp_path, capsys):
         events = alternating_events_file(tmp_path)
         teams = write(tmp_path, "teams.csv", "team_id,member\ng2,zz\n")

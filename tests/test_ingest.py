@@ -90,6 +90,64 @@ class TestParseEventsCsv:
         path.write_bytes(b"timestamp,sender,recipients\r\n100,a@x,b@x\r\n")
         assert len(parse_events(path)) == 1
 
+    def test_actors_interned(self, tmp_path):
+        rows = "timestamp,sender,recipients\n1, A ,b\n2,a,b\n3,A,b\n"
+        path = write(tmp_path, "events.csv", rows)
+        senders = [e.sender for e in parse_events(path)]
+        assert senders == ["a", "a", "a"]
+        assert senders[0] is senders[1] is senders[2]
+
+    def test_empty_actor_names_line_after_interning(self, tmp_path):
+        path = write(tmp_path, "events.csv", "timestamp,sender,recipients\n1,a,b\n2, ,b\n")
+        with pytest.raises(ParseError, match=r"events\.csv:3: empty actor token"):
+            parse_events(path)
+
+
+def _parse_one(tmp_path, stamp):
+    path = write(tmp_path, "events.csv", f"timestamp,sender,recipients\n{stamp},a,b\n")
+    return parse_events(path)[0].timestamp
+
+
+class TestRfc3339:
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2010-06-13T12:37:00Z",
+            "2010-06-13t12:37:00z",
+            "2010-06-13 12:37:00Z",
+            "2010-06-13T12:37:00.5Z",
+            "2010-06-13T12:37:00.123456789Z",
+            "2010-06-13T14:37:00+02:00",
+            "2010-06-13T12:37:00-00:00",
+            "2010-06-13T12:37:00",  # no offset: read as UTC
+        ],
+    )
+    def test_accepted(self, tmp_path, stamp):
+        assert _parse_one(tmp_path, stamp) == 1276432620
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "20100613T123700Z",  # basic format
+            "2010-W23-7T12:37:00Z",  # week date
+            "2010-164T12:37:00Z",  # ordinal date
+            "2010-06-13",  # no time
+            "2010-06-13T12:37Z",  # no seconds
+            "2010-06-13T12:37:00+0200",  # offset without colon
+            "2010-06-13T12:37:00+02",
+            "2010-06-13X12:37:00Z",  # separator other than T, t or space
+            "2010-06-31T12:37:00Z",  # no such day
+            "2010-06-13T24:00:00Z",
+            "2010-06-13T12:37:60Z",
+            "2010-06-13T12:37:00+24:00",
+            "2010-06-13T12:37:00+01:60",
+            "\u0662\u0660\u0661\u0660-06-13T12:37:00Z",  # non-ASCII digits
+        ],
+    )
+    def test_rejected_naming_file_and_line(self, tmp_path, stamp):
+        with pytest.raises(ParseError, match=r"events\.csv:2: malformed timestamp"):
+            _parse_one(tmp_path, stamp)
+
 
 class TestParseEventsJsonl:
     def test_basic(self, tmp_path):
@@ -152,6 +210,11 @@ class TestParseTeams:
             ("t1", {"a", "b"}),
             ("t2", {"c"}),
         ]
+
+    def test_members_interned(self, tmp_path):
+        path = write(tmp_path, "teams.csv", "team_id,member\nt1, A \nt2,a\n")
+        first, second = (next(iter(t.members)) for t in parse_teams(path))
+        assert first is second
 
     def test_duplicate_row_warns(self, tmp_path):
         path = write(tmp_path, "teams.csv", "team_id,member\nt1,a\nt1,a\n")

@@ -4,7 +4,9 @@ Every comparison is exact (==): the one-pass code must reproduce each float
 bit for bit, not approximately.
 """
 
-from collections import deque
+from collections import Counter, deque
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from teamsignals.windows import (
     betweenness,
     brandes_betweenness,
     build_snapshots,
+    contribution_index,
     series,
     series_by_metric,
 )
@@ -110,23 +113,97 @@ def test_reused_betweenness_equals_fresh_betweenness(log, cfg):
         assert {a: bc.values[a][k] for a in bc.actors()} == fresh
 
 
-def test_repeated_edge_set_computes_betweenness_once(monkeypatch):
-    calls = []
-    real = windows.betweenness
+@contextmanager
+def _kernel_inputs():
+    """Record a copy of the adjacency of every brandes_betweenness call."""
+    inputs = []
+    real = windows.brandes_betweenness
 
-    def counting(snapshot):
-        calls.append(snapshot.window_end)
-        return real(snapshot)
+    def recording(adjacency):
+        inputs.append([list(succ) for succ in adjacency])
+        return real(adjacency)
 
-    monkeypatch.setattr(windows, "betweenness", counting)
+    with mock.patch.object(windows, "brandes_betweenness", recording):
+        yield inputs
+
+
+def test_repeated_edge_set_computes_betweenness_once():
     # a->b->c repeats every hour: every 3h window holds the same edge set
     events = [InteractionEvent(s, r, 3600 * h + m)
               for h in range(8) for s, r, m in (("a", "b", 0), ("b", "c", 60))]
     log = validate_log(events).log
-    ws = series(log, WindowConfig(3 * 3600, 3600), "bc")
+    with _kernel_inputs() as calls:
+        ws = series(log, WindowConfig(3 * 3600, 3600), "bc")
     assert len(ws.steps) == 8
     assert len(calls) == 1
     assert ws.values["b"] == (1.0,) * 8
+
+
+# grids anchored at the log start, before it and after it (the logs span
+# 0..4h), including step == window_size
+aligned_configs = st.builds(
+    lambda step, mult, alignment: WindowConfig(step * mult, step, alignment),
+    st.sampled_from([900, 1800, 3600]),
+    st.integers(1, 4),
+    st.one_of(st.none(), st.integers(-4 * 3600, 6 * 3600)),
+)
+# rosters with actors absent from the log (x, y) and without some log actors,
+# whose events fall outside the roster; None is every actor in the log
+rosters = st.one_of(st.none(), st.frozensets(st.sampled_from(ROSTER_ACTORS)))
+
+
+@settings(deadline=None)
+@given(logs, rosters, aligned_configs)
+def test_sliding_pass_equals_snapshots(log, roster, cfg):
+    with _kernel_inputs() as kernel_inputs:
+        by_metric = series_by_metric(log, cfg, ("bc", "ci"), roster)
+    actors = sorted(log.actors() if roster is None else roster)
+    snapshots = build_snapshots(log, cfg, actors)
+    # the kernel runs once per change of edge set, starting from the empty
+    # one, on the adjacency betweenness(snapshot) builds
+    index = {a: i for i, a in enumerate(actors)}
+    expected_inputs = []
+    prev_edges: set = set()
+    for snap in snapshots:
+        if set(snap.edges) != prev_edges:
+            adjacency: list = [[] for _ in actors]
+            for src, dst in sorted(snap.edges):
+                adjacency[index[src]].append(index[dst])
+            expected_inputs.append(adjacency)
+        prev_edges = set(snap.edges)
+    assert kernel_inputs == expected_inputs
+    bc, ci = by_metric["bc"], by_metric["ci"]
+    for ws in (bc, ci):
+        assert ws.steps == tuple(s.window_end for s in snapshots)
+        assert ws.actors() == actors
+    for k, snap in enumerate(snapshots):
+        sent: Counter = Counter()
+        received: Counter = Counter()
+        for (src, dst), count in snap.edges.items():
+            sent[src] += count
+            received[dst] += count
+        fresh = betweenness(snap)
+        for a in actors:
+            assert bc.values[a][k] == fresh[a]
+            assert ci.values[a][k] == contribution_index(sent[a], received[a])
+            assert bc.presence[a][k] == ci.presence[a][k] == (a in sent or a in received)
+
+
+def test_edge_leaving_and_reentering_in_one_step_keeps_scores():
+    # window (0, 2h] loses a->b@0 and gains a->b@2h: the edge set is unchanged,
+    # so only the first window calls the kernel
+    log = validate_log([
+        InteractionEvent("a", "b", 0),
+        InteractionEvent("b", "c", 1800),
+        InteractionEvent("a", "b", 7200),
+    ]).log
+    cfg = WindowConfig(2 * 3600, 3600)
+    with _kernel_inputs() as calls:
+        ws = series(log, cfg, "bc")
+    snapshots = build_snapshots(log, cfg, ws.actors())
+    assert [sorted(s.edges) for s in snapshots] == [[("a", "b"), ("b", "c")]] * 2
+    assert calls == [[[1], [2], []]]
+    assert ws.values["b"] == (1.0, 1.0)
 
 
 def _brandes_reference(adjacency):

@@ -82,6 +82,25 @@ def test_extrema_with_presence_gaps_matches_scan(pairs):
     assert count_extrema(values, presence) == extrema_scan(values, presence)
 
 
+# present runs of 1 to 3 windows between absences: the lengths at and below
+# MIN_PRESENCE_RUN, where the run endpoints leave few or no interior points
+short_runs = st.lists(
+    st.tuples(st.lists(st.floats(-2, 2, width=16), min_size=1, max_size=3), st.integers(1, 2)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(short_runs)
+def test_extrema_on_short_runs_matches_scan(runs):
+    values: list[float] = []
+    presence: list[bool] = []
+    for run, gap in runs:
+        values += run + [0.0] * gap
+        presence += [True] * len(run) + [False] * gap
+    assert count_extrema(values, presence) == extrema_scan(values, presence)
+
+
 def make_series(vectors, presence=None):
     length = len(next(iter(vectors.values())))
     return WindowedSeries(
