@@ -15,7 +15,6 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .ingest import (
@@ -35,8 +34,6 @@ from .model import (
 )
 from .signals import MIN_PRESENCE_RUN, TeamSignals, team_signals
 from .stats import NoOverlapError, correlate
-from .surfaces import surface
-from .synth import generate, load_scenario_file
 from .windows import ConfigError, WindowConfig, parse_duration, series, window_ends
 
 USER_ERRORS = (ParseError, ConfigError, EmptyLogError, NoOverlapError, OSError)
@@ -143,6 +140,8 @@ def _compute_all_signals(
     team_logs, skipped = partition_by_team(log, teams)
     pending = [(team_id, team_logs[team_id], cfg) for team_id in sorted(team_logs)]
     if jobs > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             results = list(pool.map(_team_job, pending))
     else:
@@ -199,6 +198,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    from .surfaces import surface
+
     matrix = surface(_team_series(args))
     _write_csv(
         _out_dir(args) / "surface.csv",
@@ -237,6 +238,8 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import generate, load_scenario_file
+
     entries = load_scenario_file(args.scenario)
     if args.seed is not None:
         entries = [

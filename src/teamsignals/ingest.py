@@ -10,8 +10,9 @@ Canonical on-disk formats (all UTF-8, LF or CRLF):
 * ``depvars.csv``  header ``team_id,variable_name,value``.
 
 Timestamps are RFC 3339 date-times (no offset means UTC) or integer epoch
-seconds; the style is auto-detected from the first row and then enforced for
-the whole file, since mixed per-row formats usually indicate corruption.
+seconds in ASCII digits with an optional sign; the style is auto-detected
+from the first row and then enforced for the whole file, since mixed per-row
+formats usually indicate corruption.
 Every timestamp must lie in model.MIN_TIMESTAMP..MAX_TIMESTAMP, the range
 format_timestamp renders. Each parse holds one string object per actor.
 """
@@ -90,13 +91,23 @@ def _parse_rfc3339(text: str) -> int:
     return ts - offset if sign == "+" else ts + offset
 
 
+# Epoch seconds: ASCII digits only, so "1_000" and non-ASCII digits, which
+# int() reads, are rejected.
+_EPOCH_SECONDS = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_epoch(text: str) -> int:
+    digits = text.strip()
+    if _EPOCH_SECONDS.fullmatch(digits) is None:
+        raise ValueError("not integer epoch seconds (ASCII digits, optional sign)")
+    return int(digits)
+
+
 def _timestamp_parser(sample: str):
     """Pick the epoch-seconds or RFC 3339 parser based on one sample value."""
-    try:
-        int(sample.strip())
-    except ValueError:
+    if _EPOCH_SECONDS.fullmatch(sample.strip()) is None:
         return _parse_rfc3339
-    return lambda text: int(text.strip())
+    return _parse_epoch
 
 
 def _new_actor(actors: dict[str, ActorId], raw: str, path, line: int) -> ActorId:

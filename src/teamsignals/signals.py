@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .model import ActorId, EventLog
-from .windows import WindowConfig, WindowedSeries, series_by_metric
+from .windows import WindowConfig, WindowedSeries, _window_rows
 
 ResponseVariant = Literal["et", "fn"]
 
@@ -61,6 +61,46 @@ class TeamSignals:
     n_closed_frames: int
 
 
+class _ExtremaCounter:
+    """count_extrema for n actors at once, fed one window row at a time.
+
+    Per actor it keeps the last distinct value of the current present run
+    (None while absent) and the distinct value before it, so a point is
+    judged once its right neighbor arrives: an extremum if it lies strictly
+    above or below both neighbors. An absent window ends the run. A row
+    pair fed again as the same objects is a plateau for every actor and is
+    skipped. total is the sum of the actors' counts.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.prev: list[float | None] = [None] * n
+        self.last: list[float | None] = [None] * n
+        self.total = 0
+        self._fed: tuple = (None, None)
+
+    def feed(self, values: Sequence[float], presence: Sequence[bool]) -> None:
+        if self._fed[0] is values and self._fed[1] is presence:
+            return
+        self._fed = (values, presence)
+        prev, last = self.prev, self.last
+        total = self.total
+        for i, present in enumerate(presence):
+            if not present:
+                last[i] = prev[i] = None
+                continue
+            v = values[i]
+            b = last[i]
+            if b is None:
+                last[i] = v
+            elif v != b:
+                a = prev[i]
+                if a is not None and (a < b > v or a > b < v):
+                    total += 1
+                prev[i] = b
+                last[i] = v
+        self.total = total
+
+
 def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
     """Count strict local maxima plus minima over the present runs.
 
@@ -71,27 +111,10 @@ def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
     """
     if len(values) != len(presence):
         raise ValueError(f"length mismatch: {len(values)} values vs {len(presence)} presence")
-    total = 0
-    i = 0
-    n = len(values)
-    while i < n:
-        if not presence[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and presence[j]:
-            j += 1
-        run: list[float] = []
-        for v in values[i:j]:
-            if not run or v != run[-1]:
-                run.append(v)
-        for k in range(1, len(run) - 1):
-            if run[k] > run[k - 1] and run[k] > run[k + 1]:
-                total += 1
-            elif run[k] < run[k - 1] and run[k] < run[k + 1]:
-                total += 1
-        i = j
-    return total
+    counter = _ExtremaCounter(1)
+    for value, present in zip(values, presence):
+        counter.feed((value,), (present,))
+    return counter.total
 
 
 def rotating_signal(ws: WindowedSeries) -> float:
@@ -101,6 +124,18 @@ def rotating_signal(ws: WindowedSeries) -> float:
         raise ValueError("series has no actors")
     counts = [count_extrema(ws.values[a], ws.presence[a]) for a in actors]
     return sum(counts) / len(actors)
+
+
+def _sum_left(values: Iterable[float]) -> float:
+    """Float sum in plain left-to-right order, the same on every Python.
+
+    From Python 3.12 the built-in sum() compensates float rounding, so its
+    result can differ from 3.10/3.11 in the last bit (sum([0.1] * 10)).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _frames_from_stream(stream: Sequence) -> list[CommunicationFrame]:
@@ -137,12 +172,26 @@ def segment_frames(log: EventLog, a: ActorId, b: ActorId) -> list[CommunicationF
     return _frames_from_stream(stream)
 
 
-def _closed_frames(log: EventLog) -> list[CommunicationFrame]:
-    streams: dict[frozenset, list] = defaultdict(list)
+def _closed_frames(
+    log: EventLog, actors: Sequence[ActorId] | None = None
+) -> list[CommunicationFrame]:
+    """Closed frames of every actor pair, pairs in sorted order.
+
+    actors is the log's sorted roster (computed when None). A pair's stream
+    is keyed u * n + v by the roster indices u < v, so sorted keys give the
+    pairs in the order of their sorted actor ids.
+    """
+    if actors is None:
+        actors = sorted(log.actors())
+    n = len(actors)
+    index = {a: i for i, a in enumerate(actors)}
+    streams: dict[int, list] = defaultdict(list)
     for e in log.events:
-        streams[frozenset((e.sender, e.recipient))].append(e)
+        u = index[e.sender]
+        v = index[e.recipient]
+        streams[u * n + v if u < v else v * n + u].append(e)
     closed: list[CommunicationFrame] = []
-    for key in sorted(streams, key=sorted):
+    for key in sorted(streams):
         closed.extend(f for f in _frames_from_stream(streams[key]) if f.closed)
     return closed
 
@@ -171,7 +220,7 @@ def _responsiveness(
             samples[frame.target].append(
                 float(frame.elapsed_time if variant == "et" else frame.event_count)
             )
-    return {a: sum(vals) / len(vals) for a, vals in samples.items()}
+    return {a: _sum_left(vals) / len(vals) for a, vals in samples.items()}
 
 
 def _event_weights(log: EventLog) -> dict[ActorId, int]:
@@ -186,7 +235,7 @@ def _event_weights(log: EventLog) -> dict[ActorId, int]:
 def _weighted_mean(rcf: dict[ActorId, float], weight: dict[ActorId, int]) -> float | None:
     if not rcf:
         return None
-    num = sum(value * weight[a] for a, value in rcf.items())
+    num = _sum_left(value * weight[a] for a, value in rcf.items())
     den = sum(weight[a] for a in rcf)
     return num / den
 
@@ -208,17 +257,23 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
 
     team_log holds one team's events: the whole log, or the result of
     model.restrict_to_team / model.partition_by_team for a roster. Each
-    layer runs once: one roster scan, one grid pass that yields both
-    series, and one frame pass that yields both PRT variants and the
-    closed-frame count.
+    layer runs once: one roster scan, one grid pass whose window rows feed
+    the RL and RC extrema counters as they are made (only the current
+    window and per-actor extrema state are held, never the series), and
+    one frame pass that yields both PRT variants and the closed-frame count.
     """
     roster = team_log.actors()
-    by_metric = series_by_metric(team_log, cfg, ("bc", "ci"), roster)
-    closed = _closed_frames(team_log)
+    actors = sorted(roster)
+    rl = _ExtremaCounter(len(actors))
+    rc = _ExtremaCounter(len(actors))
+    for _end, presence, bc_row, ci_row in _window_rows(team_log, cfg, actors, True):
+        rl.feed(bc_row, presence)
+        rc.feed(ci_row, presence)
+    closed = _closed_frames(team_log, actors)
     weight = _event_weights(team_log)
     return TeamSignals(
-        rl=rotating_signal(by_metric["bc"]),
-        rc=rotating_signal(by_metric["ci"]),
+        rl=rl.total / len(actors),
+        rc=rc.total / len(actors),
         prt_et=_weighted_mean(_responsiveness(closed, roster, "et"), weight),
         prt_fn=_weighted_mean(_responsiveness(closed, roster, "fn"), weight),
         n_actors=len(roster),

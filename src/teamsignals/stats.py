@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .ingest import DependentVariableTable
-from .signals import TeamSignals
+from .signals import TeamSignals, _sum_left
 
 # signal name in correlations.csv -> TeamSignals field, in output order
 SIGNAL_FIELDS = {"RL": "rl", "RC": "rc", "PRT_FN": "prt_fn", "PRT_ET": "prt_et"}
@@ -112,13 +112,13 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((v - mx) ** 2 for v in x)
-    syy = sum((v - my) ** 2 for v in y)
+    mx = _sum_left(x) / n
+    my = _sum_left(y) / n
+    sxx = _sum_left((v - mx) ** 2 for v in x)
+    syy = _sum_left((v - my) ** 2 for v in y)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateSampleError("zero variance in sample")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = _sum_left((a - mx) * (b - my) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .model import MAX_TIMESTAMP, ActorId, EventLog
 
@@ -99,6 +99,11 @@ def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
 
     Raises ConfigError when the last end lies past model.MAX_TIMESTAMP.
     """
+    return list(_grid(log, cfg))
+
+
+def _grid(log: EventLog, cfg: WindowConfig) -> range:
+    """window_ends as a range, which holds no list of ends."""
     align = log.t_start if cfg.alignment is None else cfg.alignment
     step = cfg.step
     k_min = (log.t_start - align) // step + 1
@@ -107,7 +112,7 @@ def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
         k_max = k_min
     if align + k_max * step > MAX_TIMESTAMP:
         raise ConfigError(f"the window grid (step {step}s) ends past 9999-12-31T23:59:59Z")
-    return [align + k * step for k in range(k_min, k_max + 1)]
+    return range(align + k_min * step, align + k_max * step + 1, step)
 
 
 def build_snapshots(
@@ -228,20 +233,44 @@ def series_by_metric(
 ) -> dict[Metric, WindowedSeries]:
     """series for each of several metrics, from one sliding pass over the grid.
 
-    Actors are numbered in sorted order and each in-roster event becomes an
-    integer (u, v) pair that enters the window state once and leaves it
-    once: an edge multiset keyed u * n + v plus running sent and received
-    counts, which give presence and the contribution index. Only the current
-    window is held. When the edge set changes, only the changed edges are
-    inserted into or removed from the sorted successor lists before
-    betweenness is recomputed: the same adjacency betweenness(snapshot)
-    builds, so every float is the same. A window whose edge set equals the
-    previous window's reuses its scores.
+    Collects the rows of _window_rows and transposes them once.
     """
     for metric in metrics:
         if metric not in ("bc", "ci"):
             raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
     actors = sorted(log.actors() if roster is None else frozenset(roster))
+    # the grid always has a window, so the transpose yields all four columns
+    steps, presence_rows, bc_rows, ci_rows = zip(*_window_rows(log, cfg, actors, "bc" in metrics))
+    rows = {"bc": bc_rows, "ci": ci_rows}
+    presence = dict(zip(actors, zip(*presence_rows)))
+    return {
+        m: WindowedSeries(
+            metric=m,
+            steps=steps,
+            values=dict(zip(actors, zip(*rows[m]))),
+            presence=presence,
+        )
+        for m in dict.fromkeys(metrics)
+    }
+
+
+def _window_rows(
+    log: EventLog, cfg: WindowConfig, actors: Sequence[ActorId], want_bc: bool
+) -> Iterator[tuple[int, list[bool], list[float], list[float]]]:
+    """Yield (end, presence, bc, ci) rows, indexed like actors, per grid window.
+
+    actors is the sorted roster. Each in-roster event becomes an integer
+    (u, v) pair that enters the window state once and leaves it once: an
+    edge multiset keyed u * n + v plus running sent and received counts,
+    which give presence and the contribution index. Only the current window
+    is held. When the edge set changes, only the changed edges are inserted
+    into or removed from the sorted successor lists before betweenness is
+    recomputed: the same adjacency betweenness(snapshot) builds, so every
+    float is the same. A row that has not changed since the previous window
+    is yielded again as the same object; so are the previous scores when
+    the edge set is unchanged. With want_bc False the bc row stays zero.
+    Callers must not modify the rows.
+    """
     n = len(actors)
     index = {a: i for i, a in enumerate(actors)}
     stamps: list[int] = []
@@ -254,7 +283,6 @@ def series_by_metric(
             stamps.append(e.timestamp)
             us.append(u)
             vs.append(v)
-    ends = window_ends(log, cfg)
     edges: dict[int, int] = {}  # u * n + v -> events in the window
     sent = [0] * n
     received = [0] * n
@@ -264,13 +292,10 @@ def series_by_metric(
     presence_row = [False] * n
     ci_row = [0.0] * n
     scores = [0.0] * n
-    want_bc = "bc" in metrics
-    presence_rows: list[list[bool]] = []
-    rows: dict[str, list[list[float]]] = {"bc": [], "ci": []}
     n_events = len(stamps)
     size = cfg.window_size
     lo = hi = 0
-    for end in ends:
+    for end in _grid(log, cfg):
         was = lo + hi  # both only grow, so an unchanged sum means no event moved
         while hi < n_events and stamps[hi] <= end:
             u, v = us[hi], vs[hi]
@@ -307,17 +332,4 @@ def series_by_metric(
                     adjacency[u].remove(v)
             toggled.clear()
             scores = brandes_betweenness(adjacency)
-        presence_rows.append(presence_row)
-        rows["bc"].append(scores)
-        rows["ci"].append(ci_row)
-    steps = tuple(ends)
-    presence = dict(zip(actors, zip(*presence_rows)))
-    return {
-        m: WindowedSeries(
-            metric=m,
-            steps=steps,
-            values=dict(zip(actors, zip(*rows[m]))),
-            presence=presence,
-        )
-        for m in dict.fromkeys(metrics)
-    }
+        yield end, presence_row, scores, ci_row

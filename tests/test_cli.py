@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -294,7 +295,7 @@ class TestCorrelate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         events = write(tmp_path, "events.csv", EVENTS_HEADER + "0,a,b\n3600,c,d\n7200,b,a\n")
         teams = write(tmp_path, "teams.csv", "team_id,member\ng1,a\ng1,b\ng2,c\ng2,d\n")
         rc = main(["metrics", "--events", str(events), "--teams", str(teams),

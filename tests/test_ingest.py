@@ -149,6 +149,34 @@ class TestRfc3339:
             _parse_one(tmp_path, stamp)
 
 
+class TestEpochSeconds:
+    @pytest.mark.parametrize("stamp", ["1276432620", "+1276432620", " 1276432620 "])
+    def test_accepted(self, tmp_path, stamp):
+        assert _parse_one(tmp_path, stamp) == 1276432620
+
+    # int() reads all of these; the epoch style takes ASCII digits only
+    @pytest.mark.parametrize("stamp", ["1_000", "\u0662\u0660\u0660", "1e3", "0x10", "1.0"])
+    def test_rejected_after_an_epoch_row(self, tmp_path, stamp):
+        path = write(tmp_path, "events.csv", f"timestamp,sender,recipients\n100,a,b\n{stamp},a,b\n")
+        with pytest.raises(ParseError, match=r"events\.csv:3: malformed timestamp"):
+            parse_events(path)
+
+    @pytest.mark.parametrize("stamp", ["1_000", "\u0662\u0660\u0660"])
+    def test_rejected_as_the_first_row(self, tmp_path, stamp):
+        with pytest.raises(ParseError, match=r"events\.csv:2: malformed timestamp"):
+            _parse_one(tmp_path, stamp)
+
+    def test_rejected_in_jsonl(self, tmp_path):
+        path = write(
+            tmp_path,
+            "events.jsonl",
+            '{"timestamp": 100, "sender": "a", "recipients": ["b"]}\n'
+            '{"timestamp": "1_000", "sender": "a", "recipients": ["b"]}\n',
+        )
+        with pytest.raises(ParseError, match=r"events\.jsonl:2: malformed timestamp"):
+            parse_events(path)
+
+
 class TestParseEventsJsonl:
     def test_basic(self, tmp_path):
         path = write(

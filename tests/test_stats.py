@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamsignals.ingest import DependentVariableTable
-from teamsignals.signals import TeamSignals
+from teamsignals.signals import TeamSignals, _sum_left
 from teamsignals.stats import (
     CorrelationCell,
     DegenerateSampleError,
@@ -103,6 +103,13 @@ class TestPearsonR:
         base = pearson_r([float(v) for v in x], y)
         scaled = pearson_r([float(scale * v + shift) for v in x], y)
         assert math.isclose(base, scaled, abs_tol=1e-9)
+
+
+def test_float_sums_run_left_to_right():
+    # the built-in sum() gives 1.0 here from Python 3.12 on, 0.9999999999999999 before
+    assert _sum_left([0.1] * 10) == 0.9999999999999999
+    assert _sum_left(v for v in [1e16, 1.0, -1e16]) == 0.0
+    assert _sum_left([]) == 0.0
 
 
 class TestPValue:

@@ -1,0 +1,136 @@
+"""metrics' streaming path: window rows feed the extrema counters directly.
+
+team_signals never holds a per-window series. These tests pin the pieces
+that make that exact: the online counter equals count_extrema and the
+independent scan, unchanged rows arrive as the same objects, the frame pass
+orders pairs as before, and traced memory does not grow with the grid.
+"""
+
+import tracemalloc
+from collections import defaultdict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teamsignals.model import InteractionEvent, validate_log
+from teamsignals.signals import (
+    _closed_frames,
+    _ExtremaCounter,
+    _frames_from_stream,
+    count_extrema,
+    team_signals,
+)
+from teamsignals.windows import WindowConfig, _window_rows
+
+from .oracles import extrema_scan
+from .test_one_pass import logs
+
+HOUR = 3600
+
+# a window row: (presence, values) per actor; few distinct values make plateaus
+rows = st.lists(
+    st.tuples(st.booleans(), st.sampled_from([0.0, 0.5, 1.0, 2.0])), min_size=3, max_size=3
+)
+# each window is a new row, or reuses the previous window's objects: both
+# (an unchanged window), only the values (bc scores kept while presence
+# changes) or only the presence
+grids = st.lists(
+    st.one_of(rows, st.tuples(st.sampled_from(["both", "values", "presence"]), rows)),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _objects(grid):
+    """(values, presence) objects per window, reused as each step says."""
+    fed = []
+    for step in grid:
+        if isinstance(step, list):
+            fed.append(([v for _, v in step], [p for p, _ in step]))
+        elif fed:
+            reuse, row = step
+            values, presence = fed[-1]
+            if reuse == "presence":
+                values = [v for _, v in row]
+            elif reuse == "values":
+                presence = [p for p, _ in row]
+            fed.append((values, presence))
+    return fed
+
+
+@settings(deadline=None)
+@given(grids)
+def test_counter_equals_count_extrema_for_every_actor(grid):
+    fed = _objects(grid)
+    n = 3
+    counter = _ExtremaCounter(n)
+    for values, presence in fed:
+        counter.feed(values, presence)
+    expected = 0
+    for i in range(n):
+        column = [values[i] for values, _ in fed]
+        present = [presence[i] for _, presence in fed]
+        count = count_extrema(column, present)
+        assert count == extrema_scan(column, present)
+        # the same rows with only actor i present, repeats kept as the same objects
+        alone = _ExtremaCounter(n)
+        masked = {}
+        for values, presence in fed:
+            key = id(presence)
+            if key not in masked:
+                masked[key] = [p and j == i for j, p in enumerate(presence)]
+            alone.feed(values, masked[key])
+        assert alone.total == count
+        expected += count
+    assert counter.total == expected
+
+
+def test_unchanged_rows_are_yielded_as_the_same_objects():
+    # a-b at 0.5h and b-a at 4.5h; with 1h windows three windows between are empty
+    log = validate_log(
+        [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
+    ).log
+    got = list(_window_rows(log, WindowConfig(HOUR, HOUR, alignment=0), ["a", "b"], True))
+    assert [end for end, *_ in got] == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
+    (_, p0, b0, c0), (_, p1, b1, c1), (_, p2, b2, c2), (_, p3, b3, c3), _ = got
+    assert p0 == [True, True] and c0 == [1.0, -1.0]
+    assert p1 == [False, False]
+    # no event enters or leaves between windows 1, 2 and 3
+    assert p2 is p1 and c2 is c1 and p3 is p1 and c3 is c1
+    # the edge set changes only at windows 0 and 1, so bc is reused after
+    assert b2 is b1 and b3 is b1
+
+
+@settings(deadline=None)
+@given(logs)
+def test_frame_pairs_in_sorted_actor_order(log):
+    streams = defaultdict(list)
+    for e in log.events:
+        streams[frozenset((e.sender, e.recipient))].append(e)
+    expected = []
+    for key in sorted(streams, key=sorted):
+        expected.extend(f for f in _frames_from_stream(streams[key]) if f.closed)
+    assert _closed_frames(log) == expected
+    assert _closed_frames(log, sorted(log.actors())) == expected
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_team_signals_memory_does_not_grow_with_the_grid():
+    # one event a minute around a 40-actor ring for a day: every window's
+    # presence and CI rows are new, while the edge set is full after an hour
+    n = 40
+    actors = [f"a{i:02d}" for i in range(n)]
+    log = validate_log(
+        [InteractionEvent(actors[k % n], actors[(k + 1) % n], 60 * k) for k in range(1440)]
+    ).log
+    minutes = _traced_peak(lambda: team_signals(log, WindowConfig(HOUR, 60)))  # 1440 windows
+    hours = _traced_peak(lambda: team_signals(log, WindowConfig(HOUR, HOUR)))  # 24 windows
+    assert minutes < 2 * hours
