@@ -94,13 +94,24 @@ def _parse_rfc3339(text: str) -> int:
 # Epoch seconds: ASCII digits only, so "1_000" and non-ASCII digits, which
 # int() reads, are rejected.
 _EPOCH_SECONDS = re.compile(r"[+-]?[0-9]+")
+# A stamp wider than any in range never reaches int(), whose error past
+# 4300 digits is worded differently on each version.
+_EPOCH_DIGITS = len(str(MAX_TIMESTAMP))
 
 
 def _parse_epoch(text: str) -> int:
     digits = text.strip()
     if _EPOCH_SECONDS.fullmatch(digits) is None:
         raise ValueError("not integer epoch seconds (ASCII digits, optional sign)")
-    return int(digits)
+    value = digits.lstrip("+-").lstrip("0")  # int() counts leading zeros toward its limit
+    if len(value) > _EPOCH_DIGITS:
+        return MAX_TIMESTAMP + 1  # out of range whatever its sign; _expand_row says so
+    return -int(value or "0") if digits[0] == "-" else int(value or "0")
+
+
+def _echo(text: str) -> str:
+    """repr of a field for a message, cut to 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40] + "…")
 
 
 def _timestamp_parser(sample: str):
@@ -137,11 +148,11 @@ def _expand_row(
     try:
         ts = parse_ts(ts_text)
     except ValueError as exc:
-        raise ParseError(path, line, f"malformed timestamp {ts_text!r}: {exc}") from None
+        raise ParseError(path, line, f"malformed timestamp {_echo(ts_text)}: {exc}") from None
     if not MIN_TIMESTAMP <= ts <= MAX_TIMESTAMP:
         raise ParseError(
             path, line,
-            f"timestamp {ts_text!r} outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z",
+            f"timestamp {_echo(ts_text)} outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z",
         )
     sender = actors.get(sender_text) or _new_actor(actors, sender_text, path, line)
     recipients = [actors.get(r) or _new_actor(actors, r, path, line) for r in recipient_texts]

@@ -4,17 +4,19 @@ Rotating Leadership (RL) and Rotating Contribution (RC) count local extrema
 in each actor's windowed betweenness / contribution-index series and average
 the counts over the team. Prompt Response Time (PRT) segments each actor
 pair's event stream into communication frames and aggregates per-responder
-frame statistics into a communication-weighted team mean.
+frame statistics into a communication-weighted team mean. team_signals gets
+both from one decode of the team's events into int columns; PRT is one pass
+over them with integer state, and segment_frames is the per-pair view.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .model import ActorId, EventLog
-from .windows import WindowConfig, WindowedSeries, _window_rows
+from .windows import Columns, WindowConfig, WindowedSeries, _columns, _window_rows
 
 ResponseVariant = Literal["et", "fn"]
 
@@ -138,62 +140,70 @@ def _sum_left(values: Iterable[float]) -> float:
     return total
 
 
-def _frames_from_stream(stream: Sequence) -> list[CommunicationFrame]:
-    """State machine over one pair's merged, time-ordered event stream."""
+def segment_frames(log: EventLog, a: ActorId, b: ActorId) -> list[CommunicationFrame]:
+    """All communication frames for the unordered actor pair {a, b}, in time order."""
+    pair = {a, b}
     frames: list[CommunicationFrame] = []
     src = dst = None
-    first = last = 0
-    count = 0
-    for e in stream:
-        if src is None:
-            src, dst = e.sender, e.recipient
-            first = last = e.timestamp
-            count = 1
-        elif e.sender == src:
-            last = e.timestamp
-            count += 1
-        else:
+    first = last = count = 0
+    for e in [x for x in log.events if {x.sender, x.recipient} == pair]:
+        if src is not None and e.sender != src:
             # reply: closes the open frame and opens the next one
-            frames.append(
-                CommunicationFrame(src, dst, first, e.timestamp, count + 1, closed=True)
-            )
-            src, dst = e.sender, e.recipient
-            first = last = e.timestamp
-            count = 1
+            frames.append(CommunicationFrame(src, dst, first, e.timestamp, count + 1, closed=True))
+        if src is None or e.sender != src:  # the first event or a reply opens a frame
+            src, dst, first, count = e.sender, e.recipient, e.timestamp, 0
+        last = e.timestamp
+        count += 1
     if src is not None:
         frames.append(CommunicationFrame(src, dst, first, last, count, closed=False))
     return frames
 
 
-def segment_frames(log: EventLog, a: ActorId, b: ActorId) -> list[CommunicationFrame]:
-    """All communication frames for the unordered actor pair {a, b}."""
-    pair = {a, b}
-    stream = [e for e in log.events if {e.sender, e.recipient} == pair]
-    return _frames_from_stream(stream)
+def _response_sums(columns: Columns, n: int) -> tuple[dict, dict, Counter, int]:
+    """RCF "et" and "fn" by roster index, event weights and closed frames, in one pass.
 
-
-def _closed_frames(
-    log: EventLog, actors: Sequence[ActorId] | None = None
-) -> list[CommunicationFrame]:
-    """Closed frames of every actor pair, pairs in sorted order.
-
-    actors is the log's sorted roster (computed when None). A pair's stream
-    is keyed u * n + v by the roster indices u < v, so sorted keys give the
-    pairs in the order of their sorted actor ids.
+    columns is windows._columns(log, actors) for the sorted roster of n
+    actors. Per pair key u * n + v (u < v) the pass keeps the open frame's
+    sender, first stamp and event count; per responder, integer sums. The
+    RCF dicts are in _weighted_mean's float order: each responder's first
+    closed frame by (pair key, time), as segment_frames meets them pair by
+    pair. An integer sum equals a float sum of its terms while below 2**53.
     """
-    if actors is None:
-        actors = sorted(log.actors())
-    n = len(actors)
-    index = {a: i for i, a in enumerate(actors)}
-    streams: dict[int, list] = defaultdict(list)
-    for e in log.events:
-        u = index[e.sender]
-        v = index[e.recipient]
-        streams[u * n + v if u < v else v * n + u].append(e)
-    closed: list[CommunicationFrame] = []
-    for key in sorted(streams):
-        closed.extend(f for f in _frames_from_stream(streams[key]) if f.closed)
-    return closed
+    stamps, us, vs = columns
+    m = len(stamps)
+    elapsed, events, frames = [0] * n, [0] * n, [0] * n
+    first = [0] * n  # pair key * m + event number of each responder's first closed frame
+    # pair key -> (sender, first stamp, events); tuples, as lists take a third more memory
+    open_frames: dict[int, tuple[int, int, int]] = {}
+    for i, (t, u, v) in enumerate(zip(stamps, us, vs)):
+        key = u * n + v if u < v else v * n + u
+        frame = open_frames.get(key)
+        if frame is None or frame[0] == u:
+            open_frames[key] = (u, t, 1) if frame is None else (u, frame[1], frame[2] + 1)
+            continue
+        # u replies: closes the open frame and opens the next one
+        elapsed[u] += t - frame[1]
+        events[u] += frame[2] + 1
+        if not frames[u] or key * m + i < first[u]:
+            first[u] = key * m + i
+        frames[u] += 1
+        open_frames[key] = (u, t, 1)
+    order = sorted((u for u in range(n) if frames[u]), key=first.__getitem__)
+    weight = Counter(us)  # events each index appears in, as sender or recipient
+    weight.update(vs)
+    rcf_et = {u: elapsed[u] / frames[u] for u in order}
+    return rcf_et, {u: events[u] / frames[u] for u in order}, weight, sum(frames)
+
+
+def _rcf(log: EventLog, roster: frozenset[ActorId], variant: ResponseVariant) -> tuple:
+    """responsiveness, and the event weights by actor."""
+    if variant not in ("et", "fn"):
+        raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
+    actors = sorted(log.actors())
+    rcf_et, rcf_fn, weight, _ = _response_sums(_columns(log, actors), len(actors))
+    rcf = rcf_et if variant == "et" else rcf_fn
+    return ({actors[u]: x for u, x in rcf.items() if actors[u] in roster},
+            {actors[u]: w for u, w in weight.items()})
 
 
 def responsiveness(
@@ -206,30 +216,7 @@ def responsiveness(
     i.e. the one who replied. Actors that never close a frame are absent
     from the result.
     """
-    if variant not in ("et", "fn"):
-        raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
-    return _responsiveness(_closed_frames(log), roster, variant)
-
-
-def _responsiveness(
-    closed: Sequence[CommunicationFrame], roster: frozenset[ActorId], variant: ResponseVariant
-) -> dict[ActorId, float]:
-    samples: dict[ActorId, list[float]] = defaultdict(list)
-    for frame in closed:
-        if frame.target in roster:
-            samples[frame.target].append(
-                float(frame.elapsed_time if variant == "et" else frame.event_count)
-            )
-    return {a: _sum_left(vals) / len(vals) for a, vals in samples.items()}
-
-
-def _event_weights(log: EventLog) -> dict[ActorId, int]:
-    """Number of events each actor appears in, as sender or recipient."""
-    weight: dict[ActorId, int] = defaultdict(int)
-    for e in log.events:
-        weight[e.sender] += 1
-        weight[e.recipient] += 1
-    return weight
+    return _rcf(log, roster, variant)[0]
 
 
 def _weighted_mean(rcf: dict[ActorId, float], weight: dict[ActorId, int]) -> float | None:
@@ -249,33 +236,32 @@ def prompt_response_time(
     in (as sender or recipient). Actors with no defined RCF are excluded
     from numerator and denominator; returns None when nobody has one.
     """
-    return _weighted_mean(responsiveness(log, roster, variant), _event_weights(log))
+    return _weighted_mean(*_rcf(log, roster, variant))
 
 
 def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     """Full per-team signal computation: RL, RC and both PRT variants.
 
     team_log holds one team's events: the whole log, or the result of
-    model.restrict_to_team / model.partition_by_team for a roster. Each
-    layer runs once: one roster scan, one grid pass whose window rows feed
-    the RL and RC extrema counters as they are made (only the current
-    window and per-actor extrema state are held, never the series), and
-    one frame pass that yields both PRT variants and the closed-frame count.
+    model.restrict_to_team / model.partition_by_team for a roster. Its
+    events are decoded once, into int columns. One pass over them gives
+    both PRT variants and the closed-frame count, and drops its per-pair
+    state before the grid pass, whose window rows feed the RL and RC
+    extrema counters as they are made: only the current window is held.
     """
-    roster = team_log.actors()
-    actors = sorted(roster)
-    rl = _ExtremaCounter(len(actors))
-    rc = _ExtremaCounter(len(actors))
-    for _end, presence, bc_row, ci_row in _window_rows(team_log, cfg, actors, True):
+    actors = sorted(team_log.actors())
+    n = len(actors)
+    columns = _columns(team_log, actors)
+    rcf_et, rcf_fn, weight, n_closed = _response_sums(columns, n)
+    rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
+    for _end, presence, bc_row, ci_row in _window_rows(team_log, cfg, columns, n, True):
         rl.feed(bc_row, presence)
         rc.feed(ci_row, presence)
-    closed = _closed_frames(team_log, actors)
-    weight = _event_weights(team_log)
     return TeamSignals(
-        rl=rl.total / len(actors),
-        rc=rc.total / len(actors),
-        prt_et=_weighted_mean(_responsiveness(closed, roster, "et"), weight),
-        prt_fn=_weighted_mean(_responsiveness(closed, roster, "fn"), weight),
-        n_actors=len(roster),
-        n_closed_frames=len(closed),
+        rl=rl.total / n,
+        rc=rc.total / n,
+        prt_et=_weighted_mean(rcf_et, weight),
+        prt_fn=_weighted_mean(rcf_fn, weight),
+        n_actors=n,
+        n_closed_frames=n_closed,
     )

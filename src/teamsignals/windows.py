@@ -14,6 +14,7 @@ index (sent - received) / (sent + received).
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Sequence
@@ -21,6 +22,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 from .model import MAX_TIMESTAMP, ActorId, EventLog
 
 Metric = Literal["bc", "ci"]
+Columns = tuple[list[int], Sequence[int], Sequence[int]]  # (stamps, us, vs); see _columns
 
 
 class ConfigError(ValueError):
@@ -145,12 +147,20 @@ def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
     adjacency[v] lists the successors of v. Returns, for each node v, the sum
     over ordered pairs (s, t) with s != v != t of the fraction of shortest
     s->t paths passing through v, accumulated per source in O(V*E) total.
+
+    A source whose every successor is a sink or leads only back to it is
+    skipped (Baglioni et al., ASONAM 2012): its BFS stops at depth 1, and
+    adding its dependencies, all 0.0, to non-negative floats changes no bit.
     """
     n = len(adjacency)
     bc = [0.0] * n
     for s in range(n):
-        if not adjacency[s]:
-            continue  # reaches nothing, contributes nothing
+        for w in adjacency[s]:
+            after = adjacency[w]
+            if after and (len(after) > 1 or after[0] != s):
+                break
+        else:
+            continue  # no successor, or depth 1: contributes nothing
         dist = [-1] * n
         sigma = [0] * n
         preds: list[list[int] | None] = [None] * n
@@ -217,14 +227,6 @@ def series(
     return series_by_metric(log, cfg, (metric,), roster)[metric]
 
 
-def _toggle(keys: set[int], key: int) -> None:
-    """Flip key's membership: an entry and an exit within one step cancel."""
-    if key in keys:
-        keys.remove(key)
-    else:
-        keys.add(key)
-
-
 def series_by_metric(
     log: EventLog,
     cfg: WindowConfig,
@@ -239,8 +241,9 @@ def series_by_metric(
         if metric not in ("bc", "ci"):
             raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
     actors = sorted(log.actors() if roster is None else frozenset(roster))
+    grid_rows = _window_rows(log, cfg, _columns(log, actors), len(actors), "bc" in metrics)
     # the grid always has a window, so the transpose yields all four columns
-    steps, presence_rows, bc_rows, ci_rows = zip(*_window_rows(log, cfg, actors, "bc" in metrics))
+    steps, presence_rows, bc_rows, ci_rows = zip(*grid_rows)
     rows = {"bc": bc_rows, "ci": ci_rows}
     presence = dict(zip(actors, zip(*presence_rows)))
     return {
@@ -254,35 +257,35 @@ def series_by_metric(
     }
 
 
-def _window_rows(
-    log: EventLog, cfg: WindowConfig, actors: Sequence[ActorId], want_bc: bool
-) -> Iterator[tuple[int, list[bool], list[float], list[float]]]:
-    """Yield (end, presence, bc, ci) rows, indexed like actors, per grid window.
-
-    actors is the sorted roster. Each in-roster event becomes an integer
-    (u, v) pair that enters the window state once and leaves it once: an
-    edge multiset keyed u * n + v plus running sent and received counts,
-    which give presence and the contribution index. Only the current window
-    is held. When the edge set changes, only the changed edges are inserted
-    into or removed from the sorted successor lists before betweenness is
-    recomputed: the same adjacency betweenness(snapshot) builds, so every
-    float is the same. A row that has not changed since the previous window
-    is yielded again as the same object; so are the previous scores when
-    the edge set is unchanged. With want_bc False the bc row stays zero.
-    Callers must not modify the rows.
-    """
-    n = len(actors)
+def _columns(log: EventLog, actors: Sequence[ActorId]) -> Columns:
+    """Events with both ends in the sorted roster actors, in log order, as ints indexing it."""
     index = {a: i for i, a in enumerate(actors)}
-    stamps: list[int] = []
-    us: list[int] = []
-    vs: list[int] = []
-    for e in log.events:  # events outside the roster are left out, as in build_snapshots
+    stamps, us, vs = [], array("i"), array("i")  # 4-byte ints: held at team_signals' memory peak
+    for e in log.events:
         u = index.get(e.sender)
         v = index.get(e.recipient)
         if u is not None and v is not None:
             stamps.append(e.timestamp)
             us.append(u)
             vs.append(v)
+    return stamps, us, vs
+
+
+def _window_rows(
+    log: EventLog, cfg: WindowConfig, columns: Columns, n: int, want_bc: bool
+) -> Iterator[tuple[int, list[bool], list[float], list[float]]]:
+    """Yield (end, presence, bc, ci) rows, indexed like the roster, per grid window.
+
+    columns is _columns(log, actors) for the sorted roster of n actors. Each
+    event enters and leaves the window state once: an edge multiset keyed
+    u * n + v and sent and received counts, which give presence and the
+    contribution index. Only changed edges touch the sorted successor lists
+    (betweenness(snapshot)'s adjacency) before betweenness is recomputed. An
+    unchanged row, or the scores of an unchanged edge set, is yielded again
+    as the same object. With want_bc False the bc row stays zero. Callers
+    must not modify the rows.
+    """
+    stamps, us, vs = columns
     edges: dict[int, int] = {}  # u * n + v -> events in the window
     sent = [0] * n
     received = [0] * n
@@ -302,7 +305,7 @@ def _window_rows(
             key = u * n + v
             count = edges.get(key, 0)
             if not count:
-                _toggle(toggled, key)
+                toggled ^= {key}  # an entry and an exit within one step cancel
             edges[key] = count + 1
             sent[u] += 1
             received[v] += 1
@@ -315,7 +318,7 @@ def _window_rows(
                 edges[key] = count
             else:
                 del edges[key]
-                _toggle(toggled, key)
+                toggled ^= {key}
             sent[u] -= 1
             received[v] -= 1
             lo += 1

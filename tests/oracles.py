@@ -1,15 +1,20 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here shares code with teamsignals: betweenness is recomputed from
-literal path enumeration and from a Floyd-Warshall path-counting scheme,
-extrema by a groupby scan, frame counts by direction-reversal counting.
+Betweenness is recomputed from literal path enumeration, from a
+Floyd-Warshall path-counting scheme and by the Brandes loop as it stood
+before the depth-1 skip; extrema by a groupby scan, frame counts by
+direction-reversal counting. Only the frame-list oracles use the package:
+they compose the per-pair frames of signals.segment_frames.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
+
+from teamsignals.signals import segment_frames
 
 
 def bc_path_enumeration(n: int, edges: set[tuple[int, int]]) -> list[float]:
@@ -124,3 +129,70 @@ def extrema_scan(values, presence, min_run: int = 3) -> int:
 def reversal_count(senders: list) -> int:
     """Events that reverse the direction of the previous event in a pair stream."""
     return sum(1 for i in range(1, len(senders)) if senders[i] != senders[i - 1])
+
+
+def brandes_reference(adjacency) -> list[float]:
+    """windows.brandes_betweenness without the depth-1 skip: every source with a successor."""
+    n = len(adjacency)
+    bc = [0.0] * n
+    for s in range(n):
+        if not adjacency[s]:
+            continue
+        dist = [-1] * n
+        sigma = [0] * n
+        preds = [None] * n
+        dist[s] = 0
+        sigma[s] = 1
+        order = [s]
+        for v in order:
+            next_dist = dist[v] + 1
+            sigma_v = sigma[v]
+            for w in adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = next_dist
+                    order.append(w)
+                    sigma[w] = sigma_v
+                    preds[w] = [v]
+                elif dist[w] == next_dist:
+                    sigma[w] += sigma_v
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in order[:0:-1]:
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            bc[w] += delta[w]
+    return bc
+
+
+def closed_frames(log) -> list:
+    """Closed frames of every actor pair, from segment_frames, pairs in sorted order."""
+    pairs = sorted({tuple(sorted((e.sender, e.recipient))) for e in log.events})
+    return [f for a, b in pairs for f in segment_frames(log, a, b) if f.closed]
+
+
+def prt_from_frames(log, variant: str):
+    """PRT from the frame list: per-responder means in first-closed-frame order.
+
+    Each responder's mean is a left-to-right float sum over its closed
+    frames; the weighted mean then sums value * weight left to right, in the
+    order the responders first close a frame, with weight the number of
+    events the responder appears in. None when no frame closes.
+    """
+    samples: dict = {}
+    for frame in closed_frames(log):
+        value = frame.elapsed_time if variant == "et" else frame.event_count
+        samples.setdefault(frame.target, []).append(float(value))
+    if not samples:
+        return None
+    weight: Counter = Counter()
+    for e in log.events:
+        weight[e.sender] += 1
+        weight[e.recipient] += 1
+    num = 0.0
+    for actor, values in samples.items():
+        total = 0.0
+        for value in values:
+            total += value
+        num += total / len(values) * weight[actor]
+    return num / sum(weight[a] for a in samples)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from teamsignals.ingest import (
@@ -165,6 +167,18 @@ class TestEpochSeconds:
     def test_rejected_as_the_first_row(self, tmp_path, stamp):
         with pytest.raises(ParseError, match=r"events\.csv:2: malformed timestamp"):
             _parse_one(tmp_path, stamp)
+
+    @pytest.mark.parametrize("stamp", ["1" * 4401, "-" + "9" * 4401, "+" + "1" * 13])
+    def test_over_long_is_out_of_range(self, tmp_path, stamp):
+        # rejected before int(), whose message past 4300 digits differs by version
+        shown = re.escape(repr(stamp[:40] + "…")) if len(stamp) > 40 else re.escape(repr(stamp))
+        with pytest.raises(ParseError, match=rf"events\.csv:2: timestamp {shown} outside 0001"):
+            _parse_one(tmp_path, stamp)
+
+    def test_leading_zeros_do_not_count(self, tmp_path):
+        assert _parse_one(tmp_path, "0" * 4400 + "1276432620") == 1276432620
+        assert _parse_one(tmp_path, "-" + "0" * 4400 + "62135596800") == -62135596800
+        assert _parse_one(tmp_path, "0" * 4401) == 0
 
     def test_rejected_in_jsonl(self, tmp_path):
         path = write(

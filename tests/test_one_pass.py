@@ -8,7 +8,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamsignals import windows
@@ -22,7 +22,6 @@ from teamsignals.model import (
 )
 from teamsignals.signals import (
     TeamSignals,
-    _closed_frames,
     prompt_response_time,
     rotating_signal,
     team_signals,
@@ -36,6 +35,8 @@ from teamsignals.windows import (
     series,
     series_by_metric,
 )
+
+from .oracles import brandes_reference, closed_frames
 
 LOG_ACTORS = "abcdef"
 ROSTER_ACTORS = LOG_ACTORS + "xy"  # x and y never appear in a log
@@ -94,7 +95,7 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
             prt_et=prompt_response_time(team_log, roster, "et"),
             prt_fn=prompt_response_time(team_log, roster, "fn"),
             n_actors=len(roster),
-            n_closed_frames=len(_closed_frames(team_log)),
+            n_closed_frames=len(closed_frames(team_log)),
         )
         assert team_signals(team_log, cfg) == expected
 
@@ -251,3 +252,39 @@ graphs = st.integers(1, 9).flatmap(
 @given(graphs)
 def test_brandes_trim_is_bit_identical(adjacency):
     assert brandes_betweenness(adjacency) == _brandes_reference(adjacency)
+
+
+@st.composite
+def depth_one_graphs(draw):
+    """Graphs built around a source s whose successors the depth-1 skip judges.
+
+    Each successor of s is a sink, returns only to s (a 2-cycle), points at
+    another successor (still depth 1, though the skip does not catch it) or
+    at any node; a few random edges may follow. n = 0 is the empty graph.
+    """
+    n = draw(st.integers(0, 9))
+    edges: set = set()
+    if n:
+        s = draw(st.integers(0, n - 1))
+        leaves = sorted(draw(st.sets(st.integers(0, n - 1).filter(lambda w: w != s))))
+        for w in leaves:
+            edges.add((s, w))
+            kind = draw(st.sampled_from(["sink", "back", "sibling", "any"]))
+            if kind == "back":
+                edges.add((w, s))
+            elif kind == "sibling":
+                edges.add((w, draw(st.sampled_from(leaves))))
+            elif kind == "any":
+                edges.add((w, draw(st.integers(0, n - 1))))
+        edges |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    return [sorted(j for i, j in edges if i == v and j != v) for v in range(n)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(depth_one_graphs(), graphs))
+# a star with a 2-cycle: source 0 is skipped, as each successor is a sink or
+# returns only to 0; source 2 is not, and 0 lies on 2->0->1 and 2->0->3
+@example([[1, 2, 3], [], [0], []])
+@example([])
+def test_depth_one_skip_is_bit_identical(adjacency):
+    assert brandes_betweenness(adjacency) == brandes_reference(adjacency)

@@ -2,8 +2,9 @@
 
 team_signals never holds a per-window series. These tests pin the pieces
 that make that exact: the online counter equals count_extrema and the
-independent scan, unchanged rows arrive as the same objects, the frame pass
-orders pairs as before, and traced memory does not grow with the grid.
+independent scan, unchanged rows arrive as the same objects, the PRT pass
+equals the frame list bit for bit and meets responders in its order, and
+traced memory does not grow with the grid.
 """
 
 import tracemalloc
@@ -12,17 +13,17 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamsignals.model import InteractionEvent, validate_log
+from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import (
-    _closed_frames,
     _ExtremaCounter,
-    _frames_from_stream,
     count_extrema,
+    responsiveness,
+    segment_frames,
     team_signals,
 )
-from teamsignals.windows import WindowConfig, _window_rows
+from teamsignals.windows import WindowConfig, _columns, _window_rows
 
-from .oracles import extrema_scan
+from .oracles import closed_frames, extrema_scan, prt_from_frames
 from .test_one_pass import logs
 
 HOUR = 3600
@@ -90,7 +91,8 @@ def test_unchanged_rows_are_yielded_as_the_same_objects():
     log = validate_log(
         [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
     ).log
-    got = list(_window_rows(log, WindowConfig(HOUR, HOUR, alignment=0), ["a", "b"], True))
+    columns = _columns(log, ["a", "b"])
+    got = list(_window_rows(log, WindowConfig(HOUR, HOUR, alignment=0), columns, 2, True))
     assert [end for end, *_ in got] == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
     (_, p0, b0, c0), (_, p1, b1, c1), (_, p2, b2, c2), (_, p3, b3, c3), _ = got
     assert p0 == [True, True] and c0 == [1.0, -1.0]
@@ -109,9 +111,61 @@ def test_frame_pairs_in_sorted_actor_order(log):
         streams[frozenset((e.sender, e.recipient))].append(e)
     expected = []
     for key in sorted(streams, key=sorted):
-        expected.extend(f for f in _frames_from_stream(streams[key]) if f.closed)
-    assert _closed_frames(log) == expected
-    assert _closed_frames(log, sorted(log.actors())) == expected
+        pair_log = EventLog(tuple(streams[key]), log.t_start, log.t_end)
+        expected.extend(f for f in segment_frames(pair_log, *sorted(key)) if f.closed)
+    assert closed_frames(log) == expected
+    # the one pass meets each responder at its first closed frame in that order
+    responders = list(dict.fromkeys(f.target for f in expected))
+    assert list(responsiveness(log, log.actors(), "et")) == responders
+    assert team_signals(log, WindowConfig(HOUR, HOUR)).n_closed_frames == len(expected)
+
+
+def _event_log(rows) -> EventLog:
+    """An EventLog built by hand: sorted, but self-loops and duplicates kept."""
+    events = sorted((InteractionEvent(s, r, t) for s, r, t in rows), key=InteractionEvent.sort_key)
+    return EventLog(tuple(events), events[0].timestamp, events[-1].timestamp)
+
+
+# few actors and stamps, so pairs interleave and stamps repeat; the stamp
+# scales spread elapsed times over magnitudes, where a float sum in another
+# responder order rounds differently
+prt_logs = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"),
+              st.integers(0, 12), st.sampled_from([1, 7, 3600, 10**9 + 7])),
+    min_size=1,
+    max_size=40,
+).map(lambda rows: _event_log([(s, r, t * scale) for s, r, t, scale in rows]))
+
+
+@settings(deadline=None)
+@given(prt_logs)
+def test_prt_pass_equals_frame_list(log):
+    sig = team_signals(log, WindowConfig(10**10, 10**10))  # PRT does not depend on the grid
+    assert sig.prt_et == prt_from_frames(log, "et")
+    assert sig.prt_fn == prt_from_frames(log, "fn")
+    assert sig.n_closed_frames == len(closed_frames(log))
+
+
+def test_prt_responder_order_decides_the_float_sum():
+    # pairs in sorted order: (a, d) closes frames answered by d, then a;
+    # (b, c) and (b, d) then add b. By time of first reply the order would be
+    # d, b, a, and that weighted sum differs in the last bit
+    rows = [("b", "d", 0), ("d", "b", 1), ("c", "b", 2), ("d", "b", 2), ("a", "d", 3),
+            ("d", "a", 3), ("b", "c", 1000001), ("a", "d", 3000007), ("d", "a", 3000007)]
+    log = validate_log([InteractionEvent(s, r, t) for s, r, t in rows]).log
+    rcf = responsiveness(log, log.actors(), "et")
+    assert list(rcf) == ["d", "a", "b"]
+    weight = {"a": 4, "b": 5, "d": 7}
+
+    def weighted(order):
+        num = 0.0
+        for a in order:
+            num += rcf[a] * weight[a]
+        return num / sum(weight[a] for a in order)
+
+    assert weighted(["d", "a", "b"]) != weighted(["d", "b", "a"])
+    sig = team_signals(log, WindowConfig(HOUR, HOUR))
+    assert sig.prt_et == weighted(["d", "a", "b"]) == prt_from_frames(log, "et")
 
 
 def _traced_peak(fn) -> int:
