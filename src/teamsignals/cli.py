@@ -180,19 +180,16 @@ def _team_series(args):
         log = restrict_to_team(log, team)
     elif args.team:
         raise ConfigError("--team requires --teams")
-    return series(log, _window_config(args), args.metric)
+    actors = sorted(log.actors())
+    return actors, series(log, _window_config(args), args.metric, actors)
 
 
 def cmd_series(args) -> int:
-    ws = _team_series(args)
-    actors = ws.actors()
+    actors, rows = _team_series(args)
     _write_csv(
         _out_dir(args) / "series.csv",
         ["window_end"] + actors,
-        (
-            [format_timestamp(end)] + [_fmt(ws.values[a][k]) for a in actors]
-            for k, end in enumerate(ws.steps)
-        ),
+        ([format_timestamp(end)] + [_fmt(v) for v in values] for end, _, values in rows),
     )
     return 0
 
@@ -200,14 +197,11 @@ def cmd_series(args) -> int:
 def cmd_surface(args) -> int:
     from .surfaces import surface
 
-    matrix = surface(_team_series(args))
+    actors, rows = _team_series(args)
     _write_csv(
         _out_dir(args) / "surface.csv",
-        ["window_end"] + [f"rank_{i + 1}" for i in range(matrix.n_ranks)],
-        (
-            [format_timestamp(end)] + [f"{v:.6f}" for v in row]
-            for end, row in zip(matrix.steps, matrix.rows)
-        ),
+        ["window_end"] + [f"rank_{i + 1}" for i in range(len(actors))],
+        ([format_timestamp(end)] + [f"{v:.6f}" for v in row] for end, row in surface(rows)),
     )
     return 0
 

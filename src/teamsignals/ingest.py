@@ -241,6 +241,8 @@ def _parse_events_jsonl(path: Path) -> list[InteractionEvent]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
+        except ValueError:  # int() refuses over 4300 digits, in words that vary by version
+            raise ParseError(path, line_no, "a JSON number has too many digits") from None
         try:
             ts_raw = obj["timestamp"]
             sender = obj["sender"]

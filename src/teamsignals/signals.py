@@ -4,9 +4,11 @@ Rotating Leadership (RL) and Rotating Contribution (RC) count local extrema
 in each actor's windowed betweenness / contribution-index series and average
 the counts over the team. Prompt Response Time (PRT) segments each actor
 pair's event stream into communication frames and aggregates per-responder
-frame statistics into a communication-weighted team mean. team_signals gets
-both from one decode of the team's events into int columns; PRT is one pass
-over them with integer state, and segment_frames is the per-pair view.
+frame statistics into a communication-weighted team mean. A frame is a run
+of messages from one actor of a pair to the other, up to the other's reply:
+the reply closes it, as its last event, and opens the next frame in the
+opposite direction. team_signals gets both from one decode of the team's
+events into int columns; PRT is one pass over them with integer state.
 """
 
 from __future__ import annotations
@@ -16,35 +18,13 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .model import ActorId, EventLog
-from .windows import Columns, WindowConfig, WindowedSeries, _columns, _window_rows
+from .windows import Columns, WindowConfig, _columns, _window_rows
 
 ResponseVariant = Literal["et", "fn"]
 
 # Shortest present run that can hold an extremum: an interior point needs a
 # neighbor on each side. A shorter grid makes RL and RC 0 (the CLI warns).
 MIN_PRESENCE_RUN = 3
-
-
-@dataclass(frozen=True)
-class CommunicationFrame:
-    """A run of messages from source to target, up to the target's reply.
-
-    The reply both closes the open frame (as its final event) and opens the
-    next frame in the opposite direction, so a closed frame always has at
-    least two events. The trailing frame of a pair stays open.
-    """
-
-    source: ActorId
-    target: ActorId
-    first_event: int
-    last_event: int
-    event_count: int
-    closed: bool
-
-    @property
-    def elapsed_time(self) -> int:
-        """Seconds from the frame's first to its last event."""
-        return self.last_event - self.first_event
 
 
 @dataclass(frozen=True)
@@ -119,13 +99,16 @@ def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
     return counter.total
 
 
-def rotating_signal(ws: WindowedSeries) -> float:
-    """Mean per-actor extrema count over the whole roster (RL or RC)."""
-    actors = ws.actors()
-    if not actors:
+def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]]) -> float:
+    """Mean per-actor extrema count over the roster of windows.series rows (RL or RC)."""
+    counter = None
+    for _end, presence, values in rows:
+        if counter is None:
+            counter = _ExtremaCounter(len(presence))
+        counter.feed(values, presence)
+    if counter is None or not counter.last:
         raise ValueError("series has no actors")
-    counts = [count_extrema(ws.values[a], ws.presence[a]) for a in actors]
-    return sum(counts) / len(actors)
+    return counter.total / len(counter.last)
 
 
 def _sum_left(values: Iterable[float]) -> float:
@@ -140,25 +123,6 @@ def _sum_left(values: Iterable[float]) -> float:
     return total
 
 
-def segment_frames(log: EventLog, a: ActorId, b: ActorId) -> list[CommunicationFrame]:
-    """All communication frames for the unordered actor pair {a, b}, in time order."""
-    pair = {a, b}
-    frames: list[CommunicationFrame] = []
-    src = dst = None
-    first = last = count = 0
-    for e in [x for x in log.events if {x.sender, x.recipient} == pair]:
-        if src is not None and e.sender != src:
-            # reply: closes the open frame and opens the next one
-            frames.append(CommunicationFrame(src, dst, first, e.timestamp, count + 1, closed=True))
-        if src is None or e.sender != src:  # the first event or a reply opens a frame
-            src, dst, first, count = e.sender, e.recipient, e.timestamp, 0
-        last = e.timestamp
-        count += 1
-    if src is not None:
-        frames.append(CommunicationFrame(src, dst, first, last, count, closed=False))
-    return frames
-
-
 def _response_sums(columns: Columns, n: int) -> tuple[dict, dict, Counter, int]:
     """RCF "et" and "fn" by roster index, event weights and closed frames, in one pass.
 
@@ -166,8 +130,8 @@ def _response_sums(columns: Columns, n: int) -> tuple[dict, dict, Counter, int]:
     actors. Per pair key u * n + v (u < v) the pass keeps the open frame's
     sender, first stamp and event count; per responder, integer sums. The
     RCF dicts are in _weighted_mean's float order: each responder's first
-    closed frame by (pair key, time), as segment_frames meets them pair by
-    pair. An integer sum equals a float sum of its terms while below 2**53.
+    closed frame by (pair key, time), as a pair-by-pair segmentation meets
+    them. An integer sum equals a float sum of its terms while below 2**53.
     """
     stamps, us, vs = columns
     m = len(stamps)
@@ -195,31 +159,7 @@ def _response_sums(columns: Columns, n: int) -> tuple[dict, dict, Counter, int]:
     return rcf_et, {u: events[u] / frames[u] for u in order}, weight, sum(frames)
 
 
-def _rcf(log: EventLog, roster: frozenset[ActorId], variant: ResponseVariant) -> tuple:
-    """responsiveness, and the event weights by actor."""
-    if variant not in ("et", "fn"):
-        raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
-    actors = sorted(log.actors())
-    rcf_et, rcf_fn, weight, _ = _response_sums(_columns(log, actors), len(actors))
-    rcf = rcf_et if variant == "et" else rcf_fn
-    return ({actors[u]: x for u, x in rcf.items() if actors[u] in roster},
-            {actors[u]: w for u, w in weight.items()})
-
-
-def responsiveness(
-    log: EventLog, roster: frozenset[ActorId], variant: ResponseVariant
-) -> dict[ActorId, float]:
-    """Mean frame statistic per responder (RCF).
-
-    For each actor, averages elapsed time in seconds ("et") or the event
-    count ("fn") over the closed frames in which the actor is the target,
-    i.e. the one who replied. Actors that never close a frame are absent
-    from the result.
-    """
-    return _rcf(log, roster, variant)[0]
-
-
-def _weighted_mean(rcf: dict[ActorId, float], weight: dict[ActorId, int]) -> float | None:
+def _weighted_mean(rcf: dict[int, float], weight: dict[int, int]) -> float | None:
     if not rcf:
         return None
     num = _sum_left(value * weight[a] for a, value in rcf.items())
@@ -232,11 +172,19 @@ def prompt_response_time(
 ) -> float | None:
     """Communication-weighted mean responsiveness across the team.
 
-    Each actor's RCF is weighted by the number of events the actor appears
-    in (as sender or recipient). Actors with no defined RCF are excluded
-    from numerator and denominator; returns None when nobody has one.
+    An actor's responsiveness (RCF) averages the elapsed time in seconds
+    ("et") or the event count ("fn") over the closed frames in which it
+    replied. Each roster actor's RCF is weighted by the number of events the
+    actor appears in (as sender or recipient). Actors with no defined RCF
+    are excluded from numerator and denominator; returns None when nobody
+    has one.
     """
-    return _weighted_mean(*_rcf(log, roster, variant))
+    if variant not in ("et", "fn"):
+        raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
+    actors = sorted(log.actors())
+    rcf_et, rcf_fn, weight, _ = _response_sums(_columns(log, actors), len(actors))
+    rcf = rcf_et if variant == "et" else rcf_fn
+    return _weighted_mean({u: x for u, x in rcf.items() if actors[u] in roster}, weight)
 
 
 def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:

@@ -9,6 +9,11 @@ log end, so a log spanning 24 h with a 1 h step yields ends at hours 1..24.
 Per-window metrics are betweenness centrality (directed, unweighted,
 unnormalized; multi-edges collapse to simple edges) and the contribution
 index (sent - received) / (sent + received).
+
+_window_rows, a sliding pass that holds only the current window, is the one
+window builder; series yields one metric's rows from it, and every consumer
+takes rows as they come. build_snapshots and betweenness rebuild the same
+windows from scratch, one GraphSnapshot each.
 """
 
 from __future__ import annotations
@@ -77,23 +82,6 @@ class GraphSnapshot:
     window_end: int
     nodes: frozenset[ActorId]
     edges: dict[tuple[ActorId, ActorId], int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class WindowedSeries:
-    """Per-actor metric vectors on the window grid, with presence flags.
-
-    presence[a][k] is True iff actor a sent or received at least one event
-    in window k; value vectors are zero wherever presence is False.
-    """
-
-    metric: Metric
-    steps: tuple[int, ...]
-    values: dict[ActorId, tuple[float, ...]]
-    presence: dict[ActorId, tuple[bool, ...]]
-
-    def actors(self) -> list[ActorId]:
-        return sorted(self.values)
 
 
 def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
@@ -218,43 +206,23 @@ def series(
     cfg: WindowConfig,
     metric: Metric,
     roster: Iterable[ActorId] | None = None,
-) -> WindowedSeries:
-    """Per-actor metric time series over the window grid.
+) -> Iterator[tuple[int, list[bool], list[float]]]:
+    """Yield _window_rows' (end, presence, values) rows of one metric.
 
-    The roster defaults to every actor appearing in the log and is fixed
-    across windows, so all vectors share the grid length.
+    Rows are indexed like the sorted roster, by default every actor in the
+    log, and must not be modified. presence[i] is True iff actor i sent or
+    received in the window; values are 0 where it is False. An unknown
+    metric or a grid past model.MAX_TIMESTAMP raises ConfigError at the
+    call, before any row.
     """
-    return series_by_metric(log, cfg, (metric,), roster)[metric]
-
-
-def series_by_metric(
-    log: EventLog,
-    cfg: WindowConfig,
-    metrics: Sequence[Metric],
-    roster: Iterable[ActorId] | None = None,
-) -> dict[Metric, WindowedSeries]:
-    """series for each of several metrics, from one sliding pass over the grid.
-
-    Collects the rows of _window_rows and transposes them once.
-    """
-    for metric in metrics:
-        if metric not in ("bc", "ci"):
-            raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
+    if metric not in ("bc", "ci"):
+        raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
+    _grid(log, cfg)  # its ConfigError, now rather than at the first row
     actors = sorted(log.actors() if roster is None else frozenset(roster))
-    grid_rows = _window_rows(log, cfg, _columns(log, actors), len(actors), "bc" in metrics)
-    # the grid always has a window, so the transpose yields all four columns
-    steps, presence_rows, bc_rows, ci_rows = zip(*grid_rows)
-    rows = {"bc": bc_rows, "ci": ci_rows}
-    presence = dict(zip(actors, zip(*presence_rows)))
-    return {
-        m: WindowedSeries(
-            metric=m,
-            steps=steps,
-            values=dict(zip(actors, zip(*rows[m]))),
-            presence=presence,
-        )
-        for m in dict.fromkeys(metrics)
-    }
+    rows = _window_rows(log, cfg, _columns(log, actors), len(actors), metric == "bc")
+    if metric == "bc":
+        return ((end, presence, bc) for end, presence, bc, _ci in rows)
+    return ((end, presence, ci) for end, presence, _bc, ci in rows)
 
 
 def _columns(log: EventLog, actors: Sequence[ActorId]) -> Columns:

@@ -3,18 +3,19 @@
 Betweenness is recomputed from literal path enumeration, from a
 Floyd-Warshall path-counting scheme and by the Brandes loop as it stood
 before the depth-1 skip; extrema by a groupby scan, frame counts by
-direction-reversal counting. Only the frame-list oracles use the package:
-they compose the per-pair frames of signals.segment_frames.
+direction-reversal counting; PRT from the list of per-pair frames that
+segment_frames builds one CommunicationFrame at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from teamsignals.signals import segment_frames
+from teamsignals.model import ActorId, EventLog
 
 
 def bc_path_enumeration(n: int, edges: set[tuple[int, int]]) -> list[float]:
@@ -163,6 +164,47 @@ def brandes_reference(adjacency) -> list[float]:
                 delta[v] += sigma[v] * coeff
             bc[w] += delta[w]
     return bc
+
+
+@dataclass(frozen=True)
+class CommunicationFrame:
+    """A run of messages from source to target, up to the target's reply.
+
+    The reply both closes the open frame (as its final event) and opens the
+    next frame in the opposite direction, so a closed frame always has at
+    least two events. The trailing frame of a pair stays open.
+    """
+
+    source: ActorId
+    target: ActorId
+    first_event: int
+    last_event: int
+    event_count: int
+    closed: bool
+
+    @property
+    def elapsed_time(self) -> int:
+        """Seconds from the frame's first to its last event."""
+        return self.last_event - self.first_event
+
+
+def segment_frames(log: EventLog, a: ActorId, b: ActorId) -> list[CommunicationFrame]:
+    """All communication frames for the unordered actor pair {a, b}, in time order."""
+    pair = {a, b}
+    frames: list[CommunicationFrame] = []
+    src = dst = None
+    first = last = count = 0
+    for e in [x for x in log.events if {x.sender, x.recipient} == pair]:
+        if src is not None and e.sender != src:
+            # reply: closes the open frame and opens the next one
+            frames.append(CommunicationFrame(src, dst, first, e.timestamp, count + 1, closed=True))
+        if src is None or e.sender != src:  # the first event or a reply opens a frame
+            src, dst, first, count = e.sender, e.recipient, e.timestamp, 0
+        last = e.timestamp
+        count += 1
+    if src is not None:
+        frames.append(CommunicationFrame(src, dst, first, last, count, closed=False))
+    return frames
 
 
 def closed_frames(log) -> list:

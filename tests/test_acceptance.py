@@ -16,7 +16,7 @@ import numpy as np
 
 from teamsignals.cli import main
 from teamsignals.model import validate_log
-from teamsignals.signals import count_extrema, prompt_response_time, rotating_signal, segment_frames
+from teamsignals.signals import count_extrema, prompt_response_time, rotating_signal
 from teamsignals.stats import p_value, t_cdf
 from teamsignals.synth import ReplyDelay, SynthScenario, generate
 from teamsignals.windows import (
@@ -28,7 +28,7 @@ from teamsignals.windows import (
     series,
 )
 
-from .oracles import bc_floyd_warshall_batch, bc_path_enumeration, reversal_count
+from .oracles import bc_floyd_warshall_batch, bc_path_enumeration, reversal_count, segment_frames
 
 DAY = 86400
 

@@ -207,6 +207,17 @@ class TestParseEventsJsonl:
         with pytest.raises(ParseError, match=":1"):
             parse_events(path)
 
+    def test_number_past_int_digit_limit_names_line(self, tmp_path):
+        # int() refuses over 4300 digits, worded differently on each version
+        path = write(
+            tmp_path,
+            "events.jsonl",
+            '{"timestamp": 100, "sender": "a", "recipients": ["b"]}\n'
+            '{"timestamp": %s, "sender": "a", "recipients": ["b"]}\n' % ("1" * 4401),
+        )
+        with pytest.raises(ParseError, match=r"events\.jsonl:2: a JSON number has too many digits$"):
+            parse_events(path)
+
     def test_empty_recipients(self, tmp_path):
         path = write(tmp_path, "events.jsonl", '{"timestamp": 100, "sender": "a", "recipients": []}\n')
         with pytest.raises(ParseError):

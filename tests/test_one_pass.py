@@ -28,12 +28,13 @@ from teamsignals.signals import (
 )
 from teamsignals.windows import (
     WindowConfig,
+    _columns,
+    _window_rows,
     betweenness,
     brandes_betweenness,
     build_snapshots,
     contribution_index,
     series,
-    series_by_metric,
 )
 
 from .oracles import brandes_reference, closed_frames
@@ -103,15 +104,15 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
 @settings(deadline=None)
 @given(logs, configs)
 def test_reused_betweenness_equals_fresh_betweenness(log, cfg):
-    by_metric = series_by_metric(log, cfg, ("bc", "ci"))
-    bc = by_metric["bc"]
-    assert by_metric["ci"] == series(log, cfg, "ci")
-    assert bc == series(log, cfg, "bc")
-    snapshots = build_snapshots(log, cfg, bc.actors())
-    assert bc.steps == tuple(s.window_end for s in snapshots)
-    for k, snap in enumerate(snapshots):
+    actors = sorted(log.actors())
+    rows = list(_window_rows(log, cfg, _columns(log, actors), len(actors), True))
+    assert [(end, p, ci) for end, p, _, ci in rows] == list(series(log, cfg, "ci"))
+    assert [(end, p, bc) for end, p, bc, _ in rows] == list(series(log, cfg, "bc"))
+    snapshots = build_snapshots(log, cfg, actors)
+    assert [end for end, *_ in rows] == [s.window_end for s in snapshots]
+    for (_, _, bc, _), snap in zip(rows, snapshots):
         fresh = betweenness(snap)
-        assert {a: bc.values[a][k] for a in bc.actors()} == fresh
+        assert dict(zip(actors, bc)) == fresh
 
 
 @contextmanager
@@ -134,10 +135,10 @@ def test_repeated_edge_set_computes_betweenness_once():
               for h in range(8) for s, r, m in (("a", "b", 0), ("b", "c", 60))]
     log = validate_log(events).log
     with _kernel_inputs() as calls:
-        ws = series(log, WindowConfig(3 * 3600, 3600), "bc")
-    assert len(ws.steps) == 8
+        rows = list(series(log, WindowConfig(3 * 3600, 3600), "bc"))
+    assert len(rows) == 8
     assert len(calls) == 1
-    assert ws.values["b"] == (1.0,) * 8
+    assert [values[1] for _, _, values in rows] == [1.0] * 8  # b, in roster order a, b, c
 
 
 # grids anchored at the log start, before it and after it (the logs span
@@ -156,9 +157,9 @@ rosters = st.one_of(st.none(), st.frozensets(st.sampled_from(ROSTER_ACTORS)))
 @settings(deadline=None)
 @given(logs, rosters, aligned_configs)
 def test_sliding_pass_equals_snapshots(log, roster, cfg):
-    with _kernel_inputs() as kernel_inputs:
-        by_metric = series_by_metric(log, cfg, ("bc", "ci"), roster)
     actors = sorted(log.actors() if roster is None else roster)
+    with _kernel_inputs() as kernel_inputs:
+        rows = list(_window_rows(log, cfg, _columns(log, actors), len(actors), True))
     snapshots = build_snapshots(log, cfg, actors)
     # the kernel runs once per change of edge set, starting from the empty
     # one, on the adjacency betweenness(snapshot) builds
@@ -173,21 +174,22 @@ def test_sliding_pass_equals_snapshots(log, roster, cfg):
             expected_inputs.append(adjacency)
         prev_edges = set(snap.edges)
     assert kernel_inputs == expected_inputs
-    bc, ci = by_metric["bc"], by_metric["ci"]
-    for ws in (bc, ci):
-        assert ws.steps == tuple(s.window_end for s in snapshots)
-        assert ws.actors() == actors
-    for k, snap in enumerate(snapshots):
+    assert [end for end, *_ in rows] == [s.window_end for s in snapshots]
+    for metric in ("bc", "ci"):
+        assert list(series(log, cfg, metric, roster)) == [
+            (end, presence, bc if metric == "bc" else ci) for end, presence, bc, ci in rows
+        ]
+    for (_, presence, bc, ci), snap in zip(rows, snapshots):
         sent: Counter = Counter()
         received: Counter = Counter()
         for (src, dst), count in snap.edges.items():
             sent[src] += count
             received[dst] += count
         fresh = betweenness(snap)
-        for a in actors:
-            assert bc.values[a][k] == fresh[a]
-            assert ci.values[a][k] == contribution_index(sent[a], received[a])
-            assert bc.presence[a][k] == ci.presence[a][k] == (a in sent or a in received)
+        for i, a in enumerate(actors):
+            assert bc[i] == fresh[a]
+            assert ci[i] == contribution_index(sent[a], received[a])
+            assert presence[i] == (a in sent or a in received)
 
 
 def test_edge_leaving_and_reentering_in_one_step_keeps_scores():
@@ -200,11 +202,11 @@ def test_edge_leaving_and_reentering_in_one_step_keeps_scores():
     ]).log
     cfg = WindowConfig(2 * 3600, 3600)
     with _kernel_inputs() as calls:
-        ws = series(log, cfg, "bc")
-    snapshots = build_snapshots(log, cfg, ws.actors())
+        rows = list(series(log, cfg, "bc"))
+    snapshots = build_snapshots(log, cfg, sorted(log.actors()))
     assert [sorted(s.edges) for s in snapshots] == [[("a", "b"), ("b", "c")]] * 2
     assert calls == [[[1], [2], []]]
-    assert ws.values["b"] == (1.0, 1.0)
+    assert [values[1] for _, _, values in rows] == [1.0, 1.0]  # b, in roster order a, b, c
 
 
 def _brandes_reference(adjacency):

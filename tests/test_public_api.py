@@ -1,12 +1,15 @@
-"""The package's top-level names and the README's Library section agree."""
+"""The package's top-level names agree with the README's Library section and the bench."""
 
+import importlib
 import re
+import types
 from pathlib import Path
 
 import teamsignals
 from teamsignals import TeamSignals
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCH_RUN = README.parent / "bench" / "run.py"
 
 
 def library_section() -> str:
@@ -44,3 +47,25 @@ def test_readme_snippet_runs(tmp_path, monkeypatch):
     assert isinstance(namespace["sig"], TeamSignals)
     assert namespace["sig"].n_actors == 4
     assert namespace["core"].n_actors == 3
+
+
+def _bench_traced_names() -> list[str]:
+    """Every function bench/run.py's _layer_metrics reads a span or count of, and cli.main."""
+    source = BENCH_RUN.read_text(encoding="utf-8")
+    body = source.split("def _layer_metrics(", 1)[1].split("\ndef ", 1)[0]
+    names = re.findall(r'\bspan\("([\w.]+)"', body) + re.findall(r'\bcount\("\w+", "([\w.]+)"', body)
+    return sorted(set(names) | {"cli.main"})
+
+
+def test_bench_traced_names_resolve():
+    # bench/trace_cli.py wraps only public functions defined in their own
+    # module; a name it cannot wrap makes its per-layer metrics read null
+    names = _bench_traced_names()
+    assert {"windows.build_snapshots", "surfaces.surface", "stats.correlate"} <= set(names)
+    for name in names:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"teamsignals.{layer}")
+        fn = getattr(module, attr, None)
+        assert isinstance(fn, types.FunctionType), name
+        assert fn.__module__ == module.__name__, name
+        assert not attr.startswith("_"), name

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import (
-    CommunicationFrame,
+    _response_sums,
     count_extrema,
     prompt_response_time,
-    responsiveness,
     rotating_signal,
-    segment_frames,
     team_signals,
 )
-from teamsignals.windows import WindowConfig, WindowedSeries
+from teamsignals.windows import WindowConfig, _columns
 
-from .oracles import extrema_scan, reversal_count
+from .oracles import CommunicationFrame, extrema_scan, reversal_count, segment_frames
 
 HOUR = 3600
 
@@ -102,15 +100,13 @@ def test_extrema_on_short_runs_matches_scan(runs):
 
 
 def make_series(vectors, presence=None):
-    length = len(next(iter(vectors.values())))
-    return WindowedSeries(
-        metric="bc",
-        steps=tuple(range(length)),
-        values={a: tuple(v) for a, v in vectors.items()},
-        presence={
-            a: tuple(presence[a]) if presence else (True,) * length for a in vectors
-        },
-    )
+    """windows.series rows, (end, presence, values), for per-actor vectors."""
+    actors = sorted(vectors)
+    length = len(vectors[actors[0]])
+    return [
+        (k, [presence[a][k] if presence else True for a in actors], [vectors[a][k] for a in actors])
+        for k in range(length)
+    ]
 
 
 class TestRotatingSignal:
@@ -126,9 +122,10 @@ class TestRotatingSignal:
         assert rotating_signal(make_series({"a": [0, 1, 0]})) == 1.0
 
     def test_empty_roster(self):
-        ws = WindowedSeries(metric="bc", steps=(), values={}, presence={})
         with pytest.raises(ValueError):
-            rotating_signal(ws)
+            rotating_signal([(0, [], [])])
+        with pytest.raises(ValueError):
+            rotating_signal([])
 
 
 class TestSegmentFrames:
@@ -200,12 +197,19 @@ def test_frames_match_reversal_oracle():
             assert nxt.first_event == prev.last_event
 
 
+def responsiveness(log, variant):
+    """RCF by actor name, from the PRT pass's per-responder sums, in their float-sum order."""
+    actors = sorted(log.actors())
+    rcf_et, rcf_fn, _, _ = _response_sums(_columns(log, actors), len(actors))
+    return {actors[u]: x for u, x in (rcf_et if variant == "et" else rcf_fn).items()}
+
+
 class TestResponsiveness:
     def test_mean_elapsed_time(self):
         log = validate_log(
             [ev("x", "y", 0), ev("y", "x", 10), ev("w", "y", 100), ev("y", "w", 130)]
         ).log
-        rcf = responsiveness(log, log.actors(), "et")
+        rcf = responsiveness(log, "et")
         assert rcf["y"] == 20.0
         assert "x" not in rcf and "w" not in rcf
 
@@ -216,16 +220,16 @@ class TestResponsiveness:
                 ev("w", "y", 100), ev("w", "y", 110), ev("w", "y", 120), ev("y", "w", 130),
             ]
         ).log
-        assert responsiveness(log, log.actors(), "fn")["y"] == 3.0
+        assert responsiveness(log, "fn")["y"] == 3.0
 
     def test_never_replied_undefined(self):
         log = validate_log([ev("x", "y", 0)]).log
-        assert responsiveness(log, log.actors(), "et") == {}
+        assert responsiveness(log, "et") == {}
 
     def test_unknown_variant(self):
         log = validate_log([ev("x", "y", 0)]).log
         with pytest.raises(ValueError):
-            responsiveness(log, log.actors(), "median")
+            prompt_response_time(log, log.actors(), "median")
 
 
 class TestPromptResponseTime:

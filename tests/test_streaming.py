@@ -17,14 +17,13 @@ from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import (
     _ExtremaCounter,
     count_extrema,
-    responsiveness,
-    segment_frames,
     team_signals,
 )
 from teamsignals.windows import WindowConfig, _columns, _window_rows
 
-from .oracles import closed_frames, extrema_scan, prt_from_frames
+from .oracles import closed_frames, extrema_scan, prt_from_frames, segment_frames
 from .test_one_pass import logs
+from .test_signals import responsiveness
 
 HOUR = 3600
 
@@ -116,7 +115,7 @@ def test_frame_pairs_in_sorted_actor_order(log):
     assert closed_frames(log) == expected
     # the one pass meets each responder at its first closed frame in that order
     responders = list(dict.fromkeys(f.target for f in expected))
-    assert list(responsiveness(log, log.actors(), "et")) == responders
+    assert list(responsiveness(log, "et")) == responders
     assert team_signals(log, WindowConfig(HOUR, HOUR)).n_closed_frames == len(expected)
 
 
@@ -153,7 +152,7 @@ def test_prt_responder_order_decides_the_float_sum():
     rows = [("b", "d", 0), ("d", "b", 1), ("c", "b", 2), ("d", "b", 2), ("a", "d", 3),
             ("d", "a", 3), ("b", "c", 1000001), ("a", "d", 3000007), ("d", "a", 3000007)]
     log = validate_log([InteractionEvent(s, r, t) for s, r, t in rows]).log
-    rcf = responsiveness(log, log.actors(), "et")
+    rcf = responsiveness(log, "et")
     assert list(rcf) == ["d", "a", "b"]
     weight = {"a": 4, "b": 5, "d": 7}
 

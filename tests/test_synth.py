@@ -91,7 +91,7 @@ class TestGenerate:
         assert all(a.startswith("team7.") for a in log.actors())
 
     def test_reply_delay_is_exact_frame_elapsed_time(self):
-        from teamsignals.signals import segment_frames
+        from .oracles import segment_frames
 
         sc = scenario(n_actors=30, duration=29 * 1800, mean_event_rate=6.0)
         log = generate(sc)

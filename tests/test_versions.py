@@ -41,6 +41,7 @@ COMMANDS = [
     ["validate", "--events", "minute60.csv"],
     ["validate", "--events", "epoch.csv"],
     ["validate", "--events", "long_epoch.csv"],
+    ["validate", "--events", "long_epoch.jsonl"],
     ["metrics", "--events", "events.csv", "--teams", "dup_teams.csv", *WINDOW, "--out", "d"],
 ]
 
@@ -107,6 +108,9 @@ def _write_fixture(root: Path) -> None:
         "epoch.csv": "timestamp,sender,recipients\n100,a,b\n1_000,a,b\n",
         # past int()'s 4300-digit limit, whose message differs between versions
         "long_epoch.csv": "timestamp,sender,recipients\n100,a,b\n" + "1" * 4401 + ",a,b\n",
+        # the same, as a JSON number: json.loads reads it with int()
+        "long_epoch.jsonl": '{"timestamp": 100, "sender": "a", "recipients": ["b"]}\n'
+        '{"timestamp": %s, "sender": "a", "recipients": ["b"]}\n' % ("1" * 4401),
     }
     for name, text in files.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -147,10 +151,10 @@ def _find_python(version: str) -> str | None:
 def reference(tmp_path_factory):
     results = _run_all(sys.executable, tmp_path_factory.mktemp(f"py{CURRENT}"))
     codes = [code for code, *_ in results]
-    # the fixture exercises both outcomes: the five malformed files fail, the rest succeed
-    assert codes == [0] * 8 + [2] * 5 + [0] + [0]
+    # the fixture exercises both outcomes: the six malformed files fail, the rest succeed
+    assert codes == [0] * 8 + [2] * 6 + [0] + [0]
     assert results[4][3]["correlations.csv"].count(b"\n") > 1
-    assert b"warning: " in results[4][2] and b"warning: " in results[13][2]
+    assert b"warning: " in results[4][2] and b"warning: " in results[14][2]
     return results
 
 

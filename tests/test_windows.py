@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teamsignals.model import InteractionEvent, validate_log
+from teamsignals.model import MAX_TIMESTAMP, InteractionEvent, validate_log
 from teamsignals.windows import (
     ConfigError,
     GraphSnapshot,
@@ -103,8 +103,8 @@ class TestGrid:
         snaps = build_snapshots(log, cfg, {"a", "b"})
         assert snaps[0].edges == {("a", "b"): 1}
         # and a narrowed series stays computable
-        ws = series(log, cfg, "bc", roster={"a", "b"})
-        assert set(ws.values) == {"a", "b"}
+        rows = list(series(log, cfg, "bc", roster={"a", "b"}))
+        assert {len(values) for _, _, values in rows} == {2}
 
 
 def snapshot_from_edges(edges, n):
@@ -206,22 +206,31 @@ class TestContributionIndex:
         assert -1.0 <= contribution_index(a, b) <= 1.0
 
 
+def by_actor(rows, actors):
+    """windows.series rows as per-actor (values, presence) lists, roster sorted."""
+    return {
+        a: ([values[i] for _, _, values in rows], [presence[i] for _, presence, _ in rows])
+        for i, a in enumerate(sorted(actors))
+    }
+
+
 class TestSeries:
     def test_alternating_directions_alternate_ci(self):
         events = [ev("a", "b", 1800), ev("b", "a", 5400), ev("a", "b", 9000), ev("b", "a", 12600)]
         log = validate_log(events).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR, alignment=0)
-        ws = series(log, cfg, "ci")
-        assert ws.values["a"] == (1.0, -1.0, 1.0, -1.0)
-        assert ws.values["b"] == (-1.0, 1.0, -1.0, 1.0)
-        assert all(ws.presence["a"])
+        ws = by_actor(list(series(log, cfg, "ci")), "ab")
+        assert ws["a"][0] == [1.0, -1.0, 1.0, -1.0]
+        assert ws["b"][0] == [-1.0, 1.0, -1.0, 1.0]
+        assert all(ws["a"][1])
 
     def test_silent_actor_zero_and_absent(self):
         log = validate_log([ev("a", "b", 100), ev("b", "a", 7300)]).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
-        ws = series(log, cfg, "bc", roster={"a", "b", "mute"})
-        assert set(ws.values["mute"]) == {0.0}
-        assert not any(ws.presence["mute"])
+        roster = {"a", "b", "mute"}
+        values, presence = by_actor(list(series(log, cfg, "bc", roster=roster)), roster)["mute"]
+        assert set(values) == {0.0}
+        assert not any(presence)
 
     def test_ci_range_and_presence_mask(self):
         rng = random.Random(3)
@@ -230,37 +239,40 @@ class TestSeries:
             for _ in range(60)
         ]
         log = validate_log(events).log
-        ws = series(log, WindowConfig(2 * HOUR, HOUR), "ci")
-        for actor in ws.actors():
-            for value, present in zip(ws.values[actor], ws.presence[actor]):
+        for _, presence, values in series(log, WindowConfig(2 * HOUR, HOUR), "ci"):
+            for value, present in zip(values, presence):
                 assert -1.0 <= value <= 1.0
                 if not present:
                     assert value == 0.0
         bc = series(log, WindowConfig(2 * HOUR, HOUR), "bc")
-        assert all(v >= 0.0 for vec in bc.values.values() for v in vec)
+        assert all(v >= 0.0 for _, _, values in bc for v in values)
 
     def test_deterministic(self):
         events = [ev("a", "b", 0), ev("b", "c", 1800), ev("c", "a", 4000)]
         log = validate_log(events).log
         cfg = WindowConfig(2 * HOUR, HOUR)
-        assert series(log, cfg, "bc") == series(log, cfg, "bc")
+        assert list(series(log, cfg, "bc")) == list(series(log, cfg, "bc"))
 
     def test_relabeling_permutes_values(self):
         events = [ev("a", "b", 0), ev("b", "c", 1800), ev("c", "a", 4000), ev("a", "c", 5000)]
         relabeled = [ev(e.sender.replace("a", "z"), e.recipient.replace("a", "z"), e.timestamp) for e in events]
         cfg = WindowConfig(2 * HOUR, HOUR)
         for metric in ("bc", "ci"):
-            ours = series(validate_log(events).log, cfg, metric)
-            theirs = series(validate_log(relabeled).log, cfg, metric)
-            for k in range(len(ours.steps)):
-                assert sorted(v[k] for v in ours.values.values()) == sorted(
-                    v[k] for v in theirs.values.values()
-                )
+            ours = list(series(validate_log(events).log, cfg, metric))
+            theirs = list(series(validate_log(relabeled).log, cfg, metric))
+            assert len(ours) == len(theirs)
+            for (_, _, mine), (_, _, other) in zip(ours, theirs):
+                assert sorted(mine) == sorted(other)
 
     def test_unknown_metric(self):
         log = validate_log([ev("a", "b", 0), ev("b", "a", 10)]).log
         with pytest.raises(ConfigError):
             series(log, WindowConfig(HOUR, HOUR), "pagerank")
+
+    def test_grid_past_max_timestamp_raises_before_the_first_row(self):
+        log = validate_log([ev("a", "b", MAX_TIMESTAMP - 10), ev("b", "a", MAX_TIMESTAMP)]).log
+        with pytest.raises(ConfigError):
+            series(log, WindowConfig(HOUR, HOUR), "bc")
 
 
 grid_logs = st.builds(
