@@ -34,7 +34,7 @@ from .model import (
 )
 from .signals import MIN_PRESENCE_RUN, TeamSignals, team_signals
 from .stats import NoOverlapError, correlate
-from .windows import ConfigError, WindowConfig, parse_duration, series, window_ends
+from .windows import ConfigError, WindowConfig, _grid, parse_duration, series
 
 USER_ERRORS = (ParseError, ConfigError, EmptyLogError, NoOverlapError, OSError)
 
@@ -129,7 +129,7 @@ def _compute_all_signals(
     log: EventLog, teams: list[Team], cfg: WindowConfig, jobs: int
 ) -> tuple[dict[str, TeamSignals], dict[str, int], list[str]]:
     """Per-team signals, event counts, and ids of teams with empty logs."""
-    n_windows = len(window_ends(log, cfg))
+    n_windows = len(_grid(log, cfg))
     if n_windows < MIN_PRESENCE_RUN:
         # every team log spans the full log's range, so shares this grid
         print(

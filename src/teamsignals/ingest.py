@@ -14,7 +14,9 @@ seconds in ASCII digits with an optional sign; the style is auto-detected
 from the first row and then enforced for the whole file, since mixed per-row
 formats usually indicate corruption.
 Every timestamp must lie in model.MIN_TIMESTAMP..MAX_TIMESTAMP, the range
-format_timestamp renders. Each parse holds one string object per actor.
+format_timestamp renders. Each events reader yields (line, stamp text,
+sender, recipients) rows, and one loop turns the rows of either format into
+events; each parse holds one string object per actor.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _parse_epoch(text: str) -> int:
         raise ValueError("not integer epoch seconds (ASCII digits, optional sign)")
     value = digits.lstrip("+-").lstrip("0")  # int() counts leading zeros toward its limit
     if len(value) > _EPOCH_DIGITS:
-        return MAX_TIMESTAMP + 1  # out of range whatever its sign; _expand_row says so
+        return MAX_TIMESTAMP + 1  # out of range whatever its sign; _events says so
     return -int(value or "0") if digits[0] == "-" else int(value or "0")
 
 
@@ -134,31 +136,6 @@ def _new_actor(actors: dict[str, ActorId], raw: str, path, line: int) -> ActorId
         raise ParseError(path, line, str(exc)) from None
     actors[raw] = actor
     return actor
-
-
-def _expand_row(
-    ts_text: str,
-    sender_text: str,
-    recipient_texts: list[str],
-    parse_ts,
-    actors: dict[str, ActorId],
-    path,
-    line: int,
-) -> list[InteractionEvent]:
-    try:
-        ts = parse_ts(ts_text)
-    except ValueError as exc:
-        raise ParseError(path, line, f"malformed timestamp {_echo(ts_text)}: {exc}") from None
-    if not MIN_TIMESTAMP <= ts <= MAX_TIMESTAMP:
-        raise ParseError(
-            path, line,
-            f"timestamp {_echo(ts_text)} outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z",
-        )
-    sender = actors.get(sender_text) or _new_actor(actors, sender_text, path, line)
-    recipients = [actors.get(r) or _new_actor(actors, r, path, line) for r in recipient_texts]
-    if not recipients:
-        raise ParseError(path, line, "row has no recipients")
-    return [InteractionEvent(sender, r, ts) for r in recipients]
 
 
 def _csv_rows(path: Path, columns: list[str]):
@@ -201,24 +178,43 @@ def parse_events(path, fmt: str | None = None) -> list[InteractionEvent]:
     if fmt is None:
         fmt = "jsonl" if path.suffix.lower() in (".jsonl", ".ndjson") else "csv"
     if fmt == "csv":
-        return _parse_events_csv(path)
+        return _events(_csv_event_rows(path), path)
     if fmt == "jsonl":
-        return _parse_events_jsonl(path)
+        return _events(_jsonl_event_rows(path), path)
     raise ParseError(path, None, f"unknown events format {fmt!r}")
 
 
-def _parse_events_csv(path: Path) -> list[InteractionEvent]:
+def _events(rows, path) -> list[InteractionEvent]:
+    """One event per recipient of each (line, stamp text, sender, recipients) row."""
     events: list[InteractionEvent] = []
+    append = events.append
     parse_ts = None
     actors: dict[str, ActorId] = {}
-    for line, row in _csv_rows(path, ["timestamp", "sender", "recipients"]):
+    for line, ts_text, sender_text, recipient_texts in rows:
         if parse_ts is None:
-            parse_ts = _timestamp_parser(row[0])
-        recipients = [part for part in row[2].split(";") if part.strip()]
+            parse_ts = _timestamp_parser(ts_text)
+        try:
+            ts = parse_ts(ts_text)
+        except ValueError as exc:
+            raise ParseError(path, line, f"malformed timestamp {_echo(ts_text)}: {exc}") from None
+        if not MIN_TIMESTAMP <= ts <= MAX_TIMESTAMP:
+            raise ParseError(
+                path, line,
+                f"timestamp {_echo(ts_text)} outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z",
+            )
+        sender = actors.get(sender_text) or _new_actor(actors, sender_text, path, line)
+        for r in recipient_texts:
+            append(InteractionEvent(sender, actors.get(r) or _new_actor(actors, r, path, line), ts))
+    return events
+
+
+def _csv_event_rows(path: Path):
+    """Yield (line, stamp text, sender, recipients) per row of an events CSV file."""
+    for line, row in _csv_rows(path, ["timestamp", "sender", "recipients"]):
+        recipients = list(filter(str.strip, row[2].split(";")))  # drops blank parts
         if not recipients:
             raise ParseError(path, line, "row has no recipients")
-        events.extend(_expand_row(row[0], row[1], recipients, parse_ts, actors, path, line))
-    return events
+        yield line, row[0], row[1], recipients
 
 
 def _text_lines(path: Path):
@@ -230,10 +226,8 @@ def _text_lines(path: Path):
         raise ParseError(path, None, f"not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_events_jsonl(path: Path) -> list[InteractionEvent]:
-    events: list[InteractionEvent] = []
-    parse_ts = None
-    actors: dict[str, ActorId] = {}
+def _jsonl_event_rows(path: Path):
+    """Yield (line, stamp text, sender, recipients) per object of an events JSON Lines file."""
     for line_no, line in _text_lines(path):
         if not line.strip():
             continue
@@ -257,11 +251,7 @@ def _parse_events_jsonl(path: Path) -> list[InteractionEvent]:
         for r in recipients:
             if not isinstance(r, str):
                 raise ParseError(path, line_no, f"recipient must be a string, got {json.dumps(r)}")
-        ts_text = str(ts_raw)
-        if parse_ts is None:
-            parse_ts = _timestamp_parser(ts_text)
-        events.extend(_expand_row(ts_text, sender, recipients, parse_ts, actors, path, line_no))
-    return events
+        yield line_no, str(ts_raw), sender, recipients
 
 
 def parse_teams(path) -> list[Team]:

@@ -8,6 +8,7 @@ Timestamps are kept as integer epoch seconds (UTC) throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 ActorId = str
@@ -63,11 +64,8 @@ class EventLog:
 
     def actors(self) -> frozenset[ActorId]:
         """All actors appearing as sender or recipient."""
-        seen: set[ActorId] = set()
-        for e in self.events:
-            seen.add(e.sender)
-            seen.add(e.recipient)
-        return frozenset(seen)
+        senders = frozenset(map(attrgetter("sender"), self.events))
+        return senders.union(map(attrgetter("recipient"), self.events))
 
 
 @dataclass(frozen=True)
@@ -99,24 +97,20 @@ def validate_log(raw_events) -> CleanedLog:
     permutation of the input yields the same log.
     Raises EmptyLogError if nothing survives cleaning.
     """
-    kept: list[InteractionEvent] = []
-    dropped = 0
-    for e in raw_events:
+    key = attrgetter("timestamp", "sender", "recipient")  # InteractionEvent.sort_key
+    deduped: list[InteractionEvent] = []
+    dropped = collapsed = 0
+    prev = None
+    for e in sorted(raw_events, key=key):
         if e.sender == e.recipient:
             dropped += 1
-        else:
-            kept.append(e)
-    kept.sort(key=InteractionEvent.sort_key)
-
-    deduped: list[InteractionEvent] = []
-    collapsed = 0
-    prev: InteractionEvent | None = None
-    for e in kept:
-        if prev is not None and e == prev:
+            continue
+        k = key(e)
+        if k == prev:
             collapsed += 1
             continue
         deduped.append(e)
-        prev = e
+        prev = k
 
     if not deduped:
         raise EmptyLogError("empty log after cleaning")

@@ -8,7 +8,9 @@ frame statistics into a communication-weighted team mean. A frame is a run
 of messages from one actor of a pair to the other, up to the other's reply:
 the reply closes it, as its last event, and opens the next frame in the
 opposite direction. team_signals gets both from one decode of the team's
-events into int columns; PRT is one pass over them with integer state.
+events into int columns; PRT is one pass over them with integer state, and
+each window step judges RL and RC only for the actors its events moved (RL
+for every actor when betweenness changed).
 """
 
 from __future__ import annotations
@@ -49,25 +51,24 @@ class _ExtremaCounter:
     Per actor it keeps the last distinct value of the current present run
     (None while absent) and the distinct value before it, so a point is
     judged once its right neighbor arrives: an extremum if it lies strictly
-    above or below both neighbors. An absent window ends the run. A row
-    pair fed again as the same objects is a plateau for every actor and is
-    skipped. total is the sum of the actors' counts.
+    above or below both neighbors. An absent window ends the run. Feeding an
+    actor its last presence and value changes nothing, so feed may judge
+    only the actors that moved. total is the sum of the actors' counts.
     """
 
     def __init__(self, n: int) -> None:
         self.prev: list[float | None] = [None] * n
         self.last: list[float | None] = [None] * n
         self.total = 0
-        self._fed: tuple = (None, None)
 
-    def feed(self, values: Sequence[float], presence: Sequence[bool]) -> None:
-        if self._fed[0] is values and self._fed[1] is presence:
-            return
-        self._fed = (values, presence)
+    def feed(
+        self, values: Sequence[float], presence: Sequence[bool], actors: Iterable[int] | None = None
+    ) -> None:
+        """Judge each actor in actors (all by default); the rest must be as last fed."""
         prev, last = self.prev, self.last
         total = self.total
-        for i, present in enumerate(presence):
-            if not present:
+        for i in range(len(presence)) if actors is None else actors:
+            if not presence[i]:
                 last[i] = prev[i] = None
                 continue
             v = values[i]
@@ -100,12 +101,18 @@ def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
 
 
 def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]]) -> float:
-    """Mean per-actor extrema count over the roster of windows.series rows (RL or RC)."""
+    """Mean per-actor extrema count over the roster of windows.series rows (RL or RC).
+
+    A row whose objects repeat the row before it changes no actor and is skipped.
+    """
     counter = None
+    fed = (None, None)
     for _end, presence, values in rows:
         if counter is None:
             counter = _ExtremaCounter(len(presence))
-        counter.feed(values, presence)
+        if values is not fed[0] or presence is not fed[1]:
+            counter.feed(values, presence)
+            fed = (values, presence)
     if counter is None or not counter.last:
         raise ValueError("series has no actors")
     return counter.total / len(counter.last)
@@ -195,16 +202,20 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     events are decoded once, into int columns. One pass over them gives
     both PRT variants and the closed-frame count, and drops its per-pair
     state before the grid pass, whose window rows feed the RL and RC
-    extrema counters as they are made: only the current window is held.
+    extrema counters as they are made: only the current window is held, and
+    only the actors it moved are judged.
     """
     actors = sorted(team_log.actors())
     n = len(actors)
     columns = _columns(team_log, actors)
     rcf_et, rcf_fn, weight, n_closed = _response_sums(columns, n)
     rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
-    for _end, presence, bc_row, ci_row in _window_rows(team_log, cfg, columns, n, True):
-        rl.feed(bc_row, presence)
-        rc.feed(ci_row, presence)
+    scores = None
+    for _end, presence, bc_row, ci_row, moved in _window_rows(team_log, cfg, columns, n, True):
+        if moved:  # only moved actors change, and every score when the bc row is new
+            rl.feed(bc_row, presence, moved if bc_row is scores else None)
+            rc.feed(ci_row, presence, moved)
+            scores = bc_row
     return TeamSignals(
         rl=rl.total / n,
         rc=rc.total / n,

@@ -11,9 +11,11 @@ unnormalized; multi-edges collapse to simple edges) and the contribution
 index (sent - received) / (sent + received).
 
 _window_rows, a sliding pass that holds only the current window, is the one
-window builder; series yields one metric's rows from it, and every consumer
-takes rows as they come. build_snapshots and betweenness rebuild the same
-windows from scratch, one GraphSnapshot each.
+window builder. Each step recomputes presence and the contribution index
+only for the actors whose events entered or left, and yields them with the
+row; series yields one metric's rows from it, and every consumer takes rows
+as they come. build_snapshots and betweenness rebuild the same windows from
+scratch, one GraphSnapshot each.
 """
 
 from __future__ import annotations
@@ -221,8 +223,8 @@ def series(
     actors = sorted(log.actors() if roster is None else frozenset(roster))
     rows = _window_rows(log, cfg, _columns(log, actors), len(actors), metric == "bc")
     if metric == "bc":
-        return ((end, presence, bc) for end, presence, bc, _ci in rows)
-    return ((end, presence, ci) for end, presence, _bc, ci in rows)
+        return ((end, presence, bc) for end, presence, bc, _ci, _moved in rows)
+    return ((end, presence, ci) for end, presence, _bc, ci, _moved in rows)
 
 
 def _columns(log: EventLog, actors: Sequence[ActorId]) -> Columns:
@@ -241,17 +243,19 @@ def _columns(log: EventLog, actors: Sequence[ActorId]) -> Columns:
 
 def _window_rows(
     log: EventLog, cfg: WindowConfig, columns: Columns, n: int, want_bc: bool
-) -> Iterator[tuple[int, list[bool], list[float], list[float]]]:
-    """Yield (end, presence, bc, ci) rows, indexed like the roster, per grid window.
+) -> Iterator[tuple[int, list[bool], list[float], list[float], set[int]]]:
+    """Yield (end, presence, bc, ci, moved) rows, indexed like the roster, per grid window.
 
     columns is _columns(log, actors) for the sorted roster of n actors. Each
     event enters and leaves the window state once: an edge multiset keyed
     u * n + v and sent and received counts, which give presence and the
-    contribution index. Only changed edges touch the sorted successor lists
-    (betweenness(snapshot)'s adjacency) before betweenness is recomputed. An
-    unchanged row, or the scores of an unchanged edge set, is yielded again
-    as the same object. With want_bc False the bc row stays zero. Callers
-    must not modify the rows.
+    contribution index. Only the actors of the events that entered or left,
+    moved, can differ from the previous row: a copy of it gets theirs. Only
+    changed edges touch the sorted successor lists (betweenness(snapshot)'s
+    adjacency) before betweenness is recomputed. An unchanged row, or
+    recomputed scores equal to the last ones, is yielded again as the same
+    object. With want_bc False the bc row stays zero. Callers must not
+    modify rows.
     """
     stamps, us, vs = columns
     edges: dict[int, int] = {}  # u * n + v -> events in the window
@@ -267,7 +271,7 @@ def _window_rows(
     size = cfg.window_size
     lo = hi = 0
     for end in _grid(log, cfg):
-        was = lo + hi  # both only grow, so an unchanged sum means no event moved
+        moved: set[int] = set()
         while hi < n_events and stamps[hi] <= end:
             u, v = us[hi], vs[hi]
             key = u * n + v
@@ -277,6 +281,8 @@ def _window_rows(
             edges[key] = count + 1
             sent[u] += 1
             received[v] += 1
+            moved.add(u)
+            moved.add(v)
             hi += 1
         while lo < hi and stamps[lo] <= end - size:
             u, v = us[lo], vs[lo]
@@ -289,11 +295,16 @@ def _window_rows(
                 toggled ^= {key}
             sent[u] -= 1
             received[v] -= 1
+            moved.add(u)
+            moved.add(v)
             lo += 1
-        if lo + hi != was:
-            presence_row = [s + r > 0 for s, r in zip(sent, received)]
-            # contribution_index, inlined: the counts are never negative
-            ci_row = [(s - r) / (s + r) if s + r else 0.0 for s, r in zip(sent, received)]
+        if moved:
+            presence_row = presence_row.copy()
+            ci_row = ci_row.copy()
+            for i in moved:  # contribution_index, inlined: the counts are never negative
+                s, r = sent[i], received[i]
+                presence_row[i] = s + r > 0
+                ci_row[i] = (s - r) / (s + r) if s + r else 0.0
         if toggled and want_bc:
             for key in toggled:
                 u, v = divmod(key, n)
@@ -302,5 +313,7 @@ def _window_rows(
                 else:
                     adjacency[u].remove(v)
             toggled.clear()
-            scores = brandes_betweenness(adjacency)
-        yield end, presence_row, scores, ci_row
+            fresh = brandes_betweenness(adjacency)
+            if fresh != scores:  # scores are never -0.0 or NaN, so equal means the same bits
+                scores = fresh
+        yield end, presence_row, scores, ci_row, moved

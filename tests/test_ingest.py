@@ -1,6 +1,10 @@
+import csv
+import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from teamsignals.ingest import (
     ParseError,
@@ -222,6 +226,70 @@ class TestParseEventsJsonl:
         path = write(tmp_path, "events.jsonl", '{"timestamp": 100, "sender": "a", "recipients": []}\n')
         with pytest.raises(ParseError):
             parse_events(path)
+
+
+def _write_both(tmp_path, rows):
+    """The same (stamp, sender, recipients) rows as events.csv and events.jsonl."""
+    with open(tmp_path / "events.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["timestamp", "sender", "recipients"])
+        writer.writerows([stamp, sender, ";".join(recipients)] for stamp, sender, recipients in rows)
+    with open(tmp_path / "events.jsonl", "w", encoding="utf-8") as fh:
+        for stamp, sender, recipients in rows:
+            obj = {"timestamp": stamp, "sender": sender, "recipients": recipients}
+            fh.write(json.dumps(obj) + "\n")
+    return tmp_path / "events.csv", tmp_path / "events.jsonl"
+
+
+def _same_error(tmp_path, rows):
+    """The ParseError of each format, with its file name and line."""
+    errors = []
+    for path in _write_both(tmp_path, rows):
+        with pytest.raises(ParseError) as info:
+            parse_events(path)
+        errors.append((info.value.line, str(info.value).split(": ", 1)[1]))
+    (csv_line, csv_text), (jsonl_line, jsonl_text) = errors
+    assert csv_line == jsonl_line + 1  # the CSV header is line 1
+    assert csv_text == jsonl_text
+    return jsonl_line, jsonl_text
+
+
+# tokens that differ only in case and space, commas and quotes for the CSV writer
+tokens = st.sampled_from(["a", " A ", "b@x", "B@X", "c,d", 'e"f', "ü", "Ü "])
+stamp_rows = st.one_of(
+    st.lists(st.integers(0, 10**10).map(str), min_size=1, max_size=8),
+    st.lists(st.sampled_from(["2010-06-13T12:37:00Z", "2010-06-13 14:37:00+02:00",
+                              "2010-06-13T12:37:00.9"]), min_size=1, max_size=8),
+)
+
+
+class TestOneIngestLoop:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(stamp_rows, st.data())
+    def test_csv_and_jsonl_rows_parse_alike(self, tmp_path, stamps, data):
+        rows = [(stamp, data.draw(tokens), data.draw(st.lists(tokens, min_size=1, max_size=3)))
+                for stamp in stamps]
+        csv_path, jsonl_path = _write_both(tmp_path, rows)
+        events = parse_events(csv_path)
+        assert events == parse_events(jsonl_path)
+        assert len(events) == sum(len(recipients) for _, _, recipients in rows)
+
+    def test_malformed_stamp(self, tmp_path):
+        rows = [("100", "a", ["b"]), ("1_000", "a", ["b"])]
+        assert _same_error(tmp_path, rows) == (
+            2, "malformed timestamp '1_000': not integer epoch seconds (ASCII digits, optional sign)"
+        )
+
+    def test_out_of_range_stamp(self, tmp_path):
+        rows = [("2010-06-13T12:37:00Z", "a", ["b"]), ("9999-12-31T23:59:59-01:00", "a", ["b"])]
+        assert _same_error(tmp_path, rows) == (
+            2, "timestamp '9999-12-31T23:59:59-01:00' outside "
+            "0001-01-01T00:00:00Z..9999-12-31T23:59:59Z"
+        )
+
+    def test_empty_actor_token(self, tmp_path):
+        rows = [("100", "a", ["b"]), ("200", "b", ["a"]), ("300", "  ", ["a"])]
+        assert _same_error(tmp_path, rows) == (3, "empty actor token: '  '")
 
 
 def test_expansion_preserves_record_count(tmp_path):

@@ -123,3 +123,14 @@ class TestRestrictToTeam:
     def test_empty_team_id(self):
         with pytest.raises(ValueError):
             Team("")
+
+
+@given(events_strategy)
+def test_generator_input_cleans_like_the_list(events):
+    try:
+        expected = validate_log(events)
+    except EmptyLogError:
+        with pytest.raises(EmptyLogError):
+            validate_log(e for e in events)
+        return
+    assert validate_log(e for e in events) == expected

@@ -106,11 +106,11 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
 def test_reused_betweenness_equals_fresh_betweenness(log, cfg):
     actors = sorted(log.actors())
     rows = list(_window_rows(log, cfg, _columns(log, actors), len(actors), True))
-    assert [(end, p, ci) for end, p, _, ci in rows] == list(series(log, cfg, "ci"))
-    assert [(end, p, bc) for end, p, bc, _ in rows] == list(series(log, cfg, "bc"))
+    assert [(end, p, ci) for end, p, _, ci, _ in rows] == list(series(log, cfg, "ci"))
+    assert [(end, p, bc) for end, p, bc, _, _ in rows] == list(series(log, cfg, "bc"))
     snapshots = build_snapshots(log, cfg, actors)
     assert [end for end, *_ in rows] == [s.window_end for s in snapshots]
-    for (_, _, bc, _), snap in zip(rows, snapshots):
+    for (_, _, bc, _, _), snap in zip(rows, snapshots):
         fresh = betweenness(snap)
         assert dict(zip(actors, bc)) == fresh
 
@@ -177,9 +177,9 @@ def test_sliding_pass_equals_snapshots(log, roster, cfg):
     assert [end for end, *_ in rows] == [s.window_end for s in snapshots]
     for metric in ("bc", "ci"):
         assert list(series(log, cfg, metric, roster)) == [
-            (end, presence, bc if metric == "bc" else ci) for end, presence, bc, ci in rows
+            (end, presence, bc if metric == "bc" else ci) for end, presence, bc, ci, _ in rows
         ]
-    for (_, presence, bc, ci), snap in zip(rows, snapshots):
+    for (_, presence, bc, ci, _), snap in zip(rows, snapshots):
         sent: Counter = Counter()
         received: Counter = Counter()
         for (src, dst), count in snap.edges.items():

@@ -4,7 +4,9 @@ team_signals never holds a per-window series. These tests pin the pieces
 that make that exact: the online counter equals count_extrema and the
 independent scan, unchanged rows arrive as the same objects, the PRT pass
 equals the frame list bit for bit and meets responders in its order, and
-traced memory does not grow with the grid.
+traced memory does not grow with the grid. Each row names the actors it
+moved, and judging only those (every actor when the bc row is new) counts
+what judging whole rows counts.
 """
 
 import tracemalloc
@@ -17,12 +19,13 @@ from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import (
     _ExtremaCounter,
     count_extrema,
+    rotating_signal,
     team_signals,
 )
-from teamsignals.windows import WindowConfig, _columns, _window_rows
+from teamsignals.windows import WindowConfig, _columns, _window_rows, series
 
 from .oracles import closed_frames, extrema_scan, prt_from_frames, segment_frames
-from .test_one_pass import logs
+from .test_one_pass import _kernel_inputs, aligned_configs, logs, rosters
 from .test_signals import responsiveness
 
 HOUR = 3600
@@ -93,13 +96,113 @@ def test_unchanged_rows_are_yielded_as_the_same_objects():
     columns = _columns(log, ["a", "b"])
     got = list(_window_rows(log, WindowConfig(HOUR, HOUR, alignment=0), columns, 2, True))
     assert [end for end, *_ in got] == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
-    (_, p0, b0, c0), (_, p1, b1, c1), (_, p2, b2, c2), (_, p3, b3, c3), _ = got
+    (_, p0, b0, c0, _), (_, p1, b1, c1, _), (_, p2, b2, c2, _), (_, p3, b3, c3, _), _ = got
     assert p0 == [True, True] and c0 == [1.0, -1.0]
     assert p1 == [False, False]
     # no event enters or leaves between windows 1, 2 and 3
     assert p2 is p1 and c2 is c1 and p3 is p1 and c3 is c1
     # the edge set changes only at windows 0 and 1, so bc is reused after
     assert b2 is b1 and b3 is b1
+
+
+def _rows(log, cfg, roster=None):
+    actors = sorted(log.actors() if roster is None else roster)
+    return list(_window_rows(log, cfg, _columns(log, actors), len(actors), True)), len(actors)
+
+
+def _totals(rows, n, moved_only):
+    """RL and RC extrema totals, judging moved actors only or whole rows."""
+    rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
+    scores = None
+    for _end, presence, bc, ci, moved in rows:
+        if moved_only:
+            rl.feed(bc, presence, range(n) if bc is not scores else moved)
+            rc.feed(ci, presence, moved)
+            scores = bc
+        else:
+            rl.feed(bc, presence)
+            rc.feed(ci, presence)
+    return rl.total, rc.total
+
+
+@settings(deadline=None)
+@given(logs, rosters, aligned_configs)
+def test_only_moved_actors_change_presence_or_ci(log, roster, cfg):
+    rows, n = _rows(log, cfg, roster)
+    before = ([False] * n, [0.0] * n)  # the rows of a window with no events
+    for _end, presence, _bc, ci, moved in rows:
+        changed = {i for i in range(n) if presence[i] != before[0][i] or ci[i] != before[1][i]}
+        assert changed <= moved
+        before = (presence, ci)
+
+
+@settings(deadline=None)
+@given(logs, rosters, aligned_configs)
+def test_judging_moved_actors_equals_judging_whole_rows(log, roster, cfg):
+    rows, n = _rows(log, cfg, roster)
+    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+
+
+def test_event_entering_and_leaving_in_one_step():
+    # a->b at 0 precedes the first window, (0, 1h]: it enters and leaves in
+    # the first step, moving a and b without changing their rows
+    log = validate_log([
+        InteractionEvent("a", "b", 0),
+        InteractionEvent("c", "d", 1800),
+        InteractionEvent("d", "c", 7200),
+    ]).log
+    rows, n = _rows(log, WindowConfig(HOUR, HOUR))
+    (_, p0, _, c0, m0), (_, p1, _, c1, m1) = rows
+    assert m0 == {0, 1, 2, 3}  # a, b, c, d
+    assert p0 == [False, False, True, True] and c0 == [0.0, 0.0, 1.0, -1.0]
+    assert m1 == {2, 3}
+    assert p1 == [False, False, True, True] and c1 == [0.0, 0.0, -1.0, 1.0]
+    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+
+
+def test_actor_unchanged_while_another_moves():
+    # c->d@0 stays in the 3h windows ending at 1h and 2h; a->b enters at 2h
+    log = validate_log([
+        InteractionEvent("c", "d", 0),
+        InteractionEvent("a", "b", 5400),
+        InteractionEvent("c", "d", 5 * HOUR),
+    ]).log
+    rows, n = _rows(log, WindowConfig(3 * HOUR, HOUR))
+    assert [sorted(moved) for *_, moved in rows] == [[2, 3], [0, 1], [2, 3], [], [0, 1, 2, 3]]
+    (_, p0, _, c0, _), (_, p1, _, c1, _) = rows[:2]
+    assert p1 is not p0 and c1 is not c0  # new rows, equal where nothing moved
+    assert (p0[2:], c0[2:]) == (p1[2:], c1[2:]) == ([True, True], [1.0, -1.0])
+    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+
+
+def test_kernel_call_that_leaves_every_score_equal():
+    # a->b, then c->d as well: the edge set changes, every score stays 0.0,
+    # and a and b do not move; the equal scores keep their row object
+    log = validate_log([InteractionEvent("a", "b", 0), InteractionEvent("c", "d", 5400)]).log
+    with _kernel_inputs() as calls:
+        rows, n = _rows(log, WindowConfig(3 * HOUR, HOUR))
+    assert len(calls) == 2
+    (_, _, b0, _, _), (_, _, b1, _, m1) = rows
+    assert b1 is b0 and b1 == [0.0] * 4
+    assert m1 == {2, 3}
+    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+
+
+def test_kernel_call_changes_an_unmoved_actors_score():
+    # b's events stay put while c->d enters: b's betweenness goes 1, 2, 0,
+    # a maximum that only judging every actor after a kernel call sees
+    log = validate_log([
+        InteractionEvent("a", "b", 0),
+        InteractionEvent("b", "c", 1800),
+        InteractionEvent("c", "d", 5400),
+        InteractionEvent("c", "d", 3 * HOUR),
+    ]).log
+    cfg = WindowConfig(3 * HOUR, HOUR)
+    rows, _ = _rows(log, cfg)
+    assert [(bc[1], sorted(moved)) for _, _, bc, _, moved in rows] == [
+        (1.0, [0, 1, 2]), (2.0, [2, 3]), (0.0, [0, 1, 2, 3])
+    ]
+    assert team_signals(log, cfg).rl == rotating_signal(series(log, cfg, "bc")) == 2 / 4
 
 
 @settings(deadline=None)
