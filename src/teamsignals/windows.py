@@ -131,6 +131,9 @@ def build_snapshots(
     return snapshots
 
 
+_EXACT = 2.0**53  # floats hold every integer below it
+
+
 def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
     """Unnormalized directed betweenness on an integer-labelled simple graph.
 
@@ -141,9 +144,18 @@ def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
     A source whose every successor is a sink or leads only back to it is
     skipped (Baglioni et al., ASONAM 2012): its BFS stops at depth 1, and
     adding its dependencies, all 0.0, to non-negative floats changes no bit.
+
+    The scores are bit for bit those of the int-count Brandes kernel
+    (tests/oracles.py): every float operation is the same, in the same
+    order. Shortest-path counts are floats while below 2**53, where floats
+    hold integers exactly, and ints from there on, so each count converts
+    to a double as an int count does. A node with one shortest path passes
+    1.0 + delta to its one predecessor, which equals (1.0 + delta) / 1 * 1.
+    Adding a 0.0 dependency to a score is left out.
     """
     n = len(adjacency)
     bc = [0.0] * n
+    unseen = n + 1  # above every level, so one compare passes over an earlier one
     for s in range(n):
         for w in adjacency[s]:
             after = adjacency[w]
@@ -151,31 +163,55 @@ def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
                 break
         else:
             continue  # no successor, or depth 1: contributes nothing
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int] | None] = [None] * n
+        dist = [unseen] * n
+        sigma = [0.0] * n
+        first = [0] * n  # each node's first predecessor
+        more: list[list[int] | None] = [None] * n  # the rest, for a node with several
         dist[s] = 0
-        sigma[s] = 1
+        sigma[s] = 1.0
         order = [s]  # visit order and BFS queue: the loop also visits what it appends
         for v in order:
+            successors = adjacency[v]
+            if not successors:
+                continue  # a sink: nothing to expand
             next_dist = dist[v] + 1
             sigma_v = sigma[v]
-            for w in adjacency[v]:
-                if dist[w] < 0:
+            for w in successors:
+                d = dist[w]
+                if d < next_dist:
+                    continue
+                if d > next_dist:
                     dist[w] = next_dist
                     order.append(w)
                     sigma[w] = sigma_v
-                    preds[w] = [v]
-                elif dist[w] == next_dist:
-                    sigma[w] += sigma_v
-                    preds[w].append(v)
+                    first[w] = v
+                else:
+                    count = sigma[w] + sigma_v
+                    if count >= _EXACT:  # may be rounded: add exactly, as ints
+                        count = int(sigma[w]) + int(sigma_v)
+                    sigma[w] = count
+                    others = more[w]
+                    if others is None:
+                        more[w] = [v]
+                    else:
+                        others.append(v)
         delta = [0.0] * n
         # the source is order[0]; it has no predecessors and no score to add
         for w in order[:0:-1]:
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
+            sigma_w = sigma[w]
+            delta_w = delta[w]
+            v = first[w]
+            if sigma_w == 1.0:
+                delta[v] += 1.0 + delta_w
+            else:
+                coeff = (1.0 + delta_w) / sigma_w
                 delta[v] += sigma[v] * coeff
-            bc[w] += delta[w]
+                others = more[w]
+                if others is not None:
+                    for v in others:
+                        delta[v] += sigma[v] * coeff
+            if delta_w:
+                bc[w] += delta_w
     return bc
 
 
@@ -262,7 +298,7 @@ def _window_rows(
     sent = [0] * n
     received = [0] * n
     adjacency: list[list[int]] = [[] for _ in range(n)]  # sorted successor lists
-    toggled: set[int] = set()  # keys whose presence flipped since the last kernel call
+    toggled: set[int] = set()  # want_bc only: keys whose presence flipped since the last call
     # the rows of a window with no events; betweenness of the edgeless graph
     presence_row = [False] * n
     ci_row = [0.0] * n
@@ -276,7 +312,7 @@ def _window_rows(
             u, v = us[hi], vs[hi]
             key = u * n + v
             count = edges.get(key, 0)
-            if not count:
+            if not count and want_bc:
                 toggled ^= {key}  # an entry and an exit within one step cancel
             edges[key] = count + 1
             sent[u] += 1
@@ -292,7 +328,8 @@ def _window_rows(
                 edges[key] = count
             else:
                 del edges[key]
-                toggled ^= {key}
+                if want_bc:
+                    toggled ^= {key}
             sent[u] -= 1
             received[v] -= 1
             moved.add(u)
@@ -305,7 +342,7 @@ def _window_rows(
                 s, r = sent[i], received[i]
                 presence_row[i] = s + r > 0
                 ci_row[i] = (s - r) / (s + r) if s + r else 0.0
-        if toggled and want_bc:
+        if toggled:
             for key in toggled:
                 u, v = divmod(key, n)
                 if key in edges:

@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Betweenness is recomputed from literal path enumeration, from a
-Floyd-Warshall path-counting scheme and by the Brandes loop as it stood
-before the depth-1 skip; extrema by a groupby scan, frame counts by
+Floyd-Warshall path-counting scheme and by the Brandes loop with int path
+counts and no depth-1 skip; extrema by a groupby scan, frame counts by
 direction-reversal counting; PRT from the list of per-pair frames that
 segment_frames builds one CommunicationFrame at a time.
 """
@@ -133,7 +133,10 @@ def reversal_count(senders: list) -> int:
 
 
 def brandes_reference(adjacency) -> list[float]:
-    """windows.brandes_betweenness without the depth-1 skip: every source with a successor."""
+    """The int-count Brandes kernel, every source with a successor: no depth-1 skip.
+
+    windows.brandes_betweenness must give the same bits.
+    """
     n = len(adjacency)
     bc = [0.0] * n
     for s in range(n):

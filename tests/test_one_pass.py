@@ -4,10 +4,12 @@ Every comparison is exact (==): the one-pass code must reproduce each float
 bit for bit, not approximately.
 """
 
+import random
 from collections import Counter, deque
 from contextlib import contextmanager
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +39,7 @@ from teamsignals.windows import (
     series,
 )
 
+from .graphs import layered_graph, random_graph
 from .oracles import brandes_reference, closed_frames
 
 LOG_ACTORS = "abcdef"
@@ -289,4 +292,44 @@ def depth_one_graphs(draw):
 @example([[1, 2, 3], [], [0], []])
 @example([])
 def test_depth_one_skip_is_bit_identical(adjacency):
+    assert brandes_betweenness(adjacency) == brandes_reference(adjacency)
+
+
+@st.composite
+def larger_graphs(draw):
+    """Seeded random graphs of 1 to 40 nodes at four edge densities."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.sampled_from([0.03, 0.08, 0.15, 0.3]))
+    return random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+
+
+@settings(deadline=None, max_examples=200)
+@given(larger_graphs())
+def test_kernel_is_bit_identical_up_to_40_nodes(adjacency):
+    assert brandes_betweenness(adjacency) == brandes_reference(adjacency)
+
+
+def _most_shortest_paths(adjacency) -> int:
+    """The largest shortest-path count over all ordered pairs, counted with ints."""
+    most = 0
+    for s in range(len(adjacency)):
+        dist, count, order = {s: 0}, {s: 1}, [s]
+        for v in order:
+            for w in adjacency[v]:
+                if w not in dist:
+                    dist[w], count[w] = dist[v] + 1, count[v]
+                    order.append(w)
+                elif dist[w] == dist[v] + 1:
+                    count[w] += count[v]
+        most = max(most, *count.values())
+    return most
+
+
+# the layered_graph seeds below 40 with more than 2**53 shortest paths between
+# some pair; on seed 27, float counts that skip the int sum past 2**53 give
+# other bits
+@pytest.mark.parametrize("seed", [5, 6, 10, 27, 29, 33, 35, 37, 38])
+def test_kernel_is_bit_identical_past_2_53_paths(seed):
+    adjacency = layered_graph(seed)
+    assert _most_shortest_paths(adjacency) > 2**53
     assert brandes_betweenness(adjacency) == brandes_reference(adjacency)

@@ -143,6 +143,19 @@ def test_judging_moved_actors_equals_judging_whole_rows(log, roster, cfg):
     assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
 
 
+@settings(deadline=None)
+@given(logs, rosters, aligned_configs)
+def test_presence_and_ci_rows_do_not_depend_on_want_bc(log, roster, cfg):
+    actors = sorted(log.actors() if roster is None else roster)
+    columns = _columns(log, actors)
+
+    def rows(want_bc):
+        return [(end, presence, ci, moved) for end, presence, _bc, ci, moved
+                in _window_rows(log, cfg, columns, len(actors), want_bc)]
+
+    assert rows(False) == rows(True)
+
+
 def test_event_entering_and_leaving_in_one_step():
     # a->b at 0 precedes the first window, (0, 1h]: it enters and leaves in
     # the first step, moving a and b without changing their rows

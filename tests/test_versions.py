@@ -5,8 +5,8 @@ tests and under each other version from 3.10 to 3.13 that is installed
 (pyenv's versions directory or PATH); every output file, stdout, stderr and
 exit code must match byte for byte. The CLI rounds what it prints, so a
 last-bit difference rarely shows there; FLOATS prints the sums behind
-pearson_r and PRT in full. A version that is not installed is skipped by
-name.
+pearson_r and PRT, and betweenness scores, in full. A version that is not
+installed is skipped by name.
 """
 
 import os
@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 CURRENT = "%d.%d" % sys.version_info[:2]
 # the interpreter running the tests gives the reference
 OTHERS = [v for v in ("3.10", "3.11", "3.12", "3.13") if v != CURRENT]
@@ -45,11 +46,15 @@ COMMANDS = [
     ["metrics", "--events", "events.csv", "--teams", "dup_teams.csv", *WINDOW, "--out", "d"],
 ]
 
-# floats printed in full: pearson_r and the PRT mean, on seeded random samples
+# floats printed in full: pearson_r and the PRT mean on seeded random samples,
+# and betweenness on seeded random graphs and on a layered graph with more
+# than 2**53 shortest paths, whose counts mix floats and ints
 FLOATS = """
 import random
 from teamsignals.signals import _weighted_mean
 from teamsignals.stats import pearson_r
+from teamsignals.windows import brandes_betweenness
+from tests.graphs import layered_graph, random_graph
 rng = random.Random(3)
 for _ in range(200):
     n = 3 + int(rng.random() * 28)
@@ -58,6 +63,10 @@ for _ in range(200):
     rcf = {i: v * 1e4 for i, v in enumerate(x)}
     weight = {i: 1 + int(v * 50) for i, v in enumerate(y)}
     print(repr(pearson_r(x, y)), repr(_weighted_mean(rcf, weight)))
+for _ in range(50):
+    n = 2 + int(rng.random() * 39)
+    print(repr(brandes_betweenness(random_graph(rng, n, 0.03 + rng.random() * 0.3))))
+print(repr(brandes_betweenness(layered_graph(27))))
 """
 
 _START = datetime(2010, 6, 13, 8, 0, tzinfo=timezone.utc)
@@ -127,6 +136,7 @@ def _run_all(python: str, root: Path) -> list:
         out = root / cmd[cmd.index("--out") + 1] if "--out" in cmd else None
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out else {}
         results.append((done.returncode, done.stdout, done.stderr, files))
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(ROOT)])  # FLOATS imports tests.graphs
     done = subprocess.run([python, "-c", FLOATS], env=env, capture_output=True, timeout=120)
     results.append((done.returncode, done.stdout, done.stderr, {}))
     return results
