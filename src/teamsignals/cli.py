@@ -180,8 +180,7 @@ def _team_series(args):
         log = restrict_to_team(log, team)
     elif args.team:
         raise ConfigError("--team requires --teams")
-    actors = sorted(log.actors())
-    return actors, series(log, _window_config(args), args.metric, actors)
+    return sorted(log.actors()), series(log, _window_config(args), args.metric)
 
 
 def cmd_series(args) -> int:

@@ -123,30 +123,24 @@ def validate_log(raw_events) -> CleanedLog:
 
 
 def restrict_to_team(log: EventLog, team: Team) -> EventLog:
-    """Keep only events whose sender AND recipient are team members.
-
-    With an empty member set the log is returned unchanged; the time range
-    is preserved either way. Raises EmptyLogError when nothing remains.
-    """
-    if not team.members:
-        return log
-    kept = tuple(
-        e for e in log.events if e.sender in team.members and e.recipient in team.members
-    )
-    if not kept:
+    """partition_by_team for one team, raising EmptyLogError when it has no events."""
+    team_logs, skipped = partition_by_team(log, [team])
+    if skipped:
         raise EmptyLogError(f"empty team log for team {team.team_id!r}")
-    return EventLog(events=kept, t_start=log.t_start, t_end=log.t_end)
+    return team_logs[team.team_id]
 
 
 def partition_by_team(
     log: EventLog, teams: Sequence[Team]
 ) -> tuple[dict[str, EventLog], list[str]]:
-    """restrict_to_team for every team at once, in one scan of the log.
+    """Each team's events, those whose sender AND recipient are members, in one scan.
 
-    Rosters may overlap: an event goes to every team whose roster holds
-    both its sender and its recipient. Returns the team logs keyed by
-    team_id, in the order of ``teams``, and the ids of teams left with no
-    events, which get no log. Every team log keeps the full log's range.
+    This is the one place a roster is applied. Rosters may overlap: an
+    event goes to every team whose roster holds both its sender and its
+    recipient. A team with an empty member set gets the log unchanged.
+    Returns the team logs keyed by team_id, in the order of ``teams``, and
+    the ids of teams left with no events, which get no log. Every team log
+    keeps the full log's range.
     """
     member_of: dict[ActorId, tuple[int, ...]] = {}
     for i, team in enumerate(teams):

@@ -7,10 +7,12 @@ pair's event stream into communication frames and aggregates per-responder
 frame statistics into a communication-weighted team mean. A frame is a run
 of messages from one actor of a pair to the other, up to the other's reply:
 the reply closes it, as its last event, and opens the next frame in the
-opposite direction. team_signals gets both from one decode of the team's
-events into int columns; PRT is one pass over them with integer state, and
-each window step judges RL and RC only for the actors its events moved (RL
-for every actor when betweenness changed).
+opposite direction. Every signal is computed from a team log, the events
+model.restrict_to_team or model.partition_by_team kept for a roster, over
+that log's own actors. team_signals gets all of them from one decode of the
+team's events into int columns; PRT is one pass over them with integer
+state, and each window step judges RL and RC only for the actors its events
+moved (RL for every actor when betweenness changed).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .model import ActorId, EventLog
+from .model import EventLog
 from .windows import Columns, WindowConfig, _columns, _window_rows
 
 ResponseVariant = Literal["et", "fn"]
@@ -46,13 +48,14 @@ class TeamSignals:
 
 
 class _ExtremaCounter:
-    """count_extrema for n actors at once, fed one window row at a time.
+    """Strict local extrema of n actors' series, fed one window row at a time.
 
     Per actor it keeps the last distinct value of the current present run
     (None while absent) and the distinct value before it, so a point is
     judged once its right neighbor arrives: an extremum if it lies strictly
-    above or below both neighbors. An absent window ends the run. Feeding an
-    actor its last presence and value changes nothing, so feed may judge
+    above or below both neighbors. Equal consecutive values are one point,
+    run endpoints never count, and an absent window ends the run. Feeding
+    an actor its last presence and value changes nothing, so feed may judge
     only the actors that moved. total is the sum of the actors' counts.
     """
 
@@ -84,24 +87,8 @@ class _ExtremaCounter:
         self.total = total
 
 
-def count_extrema(values: Sequence[float], presence: Sequence[bool]) -> int:
-    """Count strict local maxima plus minima over the present runs.
-
-    Each maximal contiguous present run is scanned separately: consecutive
-    equal values are compressed to one point, then interior points strictly
-    above (or below) both neighbors are counted. Run endpoints never count,
-    so a run shorter than MIN_PRESENCE_RUN windows has no extremum.
-    """
-    if len(values) != len(presence):
-        raise ValueError(f"length mismatch: {len(values)} values vs {len(presence)} presence")
-    counter = _ExtremaCounter(1)
-    for value, present in zip(values, presence):
-        counter.feed((value,), (present,))
-    return counter.total
-
-
 def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]]) -> float:
-    """Mean per-actor extrema count over the roster of windows.series rows (RL or RC).
+    """Mean per-actor extrema count over the actors of windows.series rows (RL or RC).
 
     A row whose objects repeat the row before it changes no actor and is skipped.
     """
@@ -131,14 +118,14 @@ def _sum_left(values: Iterable[float]) -> float:
 
 
 def _response_sums(columns: Columns, n: int) -> tuple[dict, dict, Counter, int]:
-    """RCF "et" and "fn" by roster index, event weights and closed frames, in one pass.
+    """RCF "et" and "fn" by actor index, event weights and closed frames, in one pass.
 
-    columns is windows._columns(log, actors) for the sorted roster of n
-    actors. Per pair key u * n + v (u < v) the pass keeps the open frame's
-    sender, first stamp and event count; per responder, integer sums. The
-    RCF dicts are in _weighted_mean's float order: each responder's first
-    closed frame by (pair key, time), as a pair-by-pair segmentation meets
-    them. An integer sum equals a float sum of its terms while below 2**53.
+    columns and its n actors are windows._columns(log). Per pair key
+    u * n + v (u < v) the pass keeps the open frame's sender, first stamp
+    and event count; per responder, integer sums. The RCF dicts are in
+    _weighted_mean's float order: each responder's first closed frame by
+    (pair key, time), as a pair-by-pair segmentation meets them. An integer
+    sum equals a float sum of its terms while below 2**53.
     """
     stamps, us, vs = columns
     m = len(stamps)
@@ -174,24 +161,21 @@ def _weighted_mean(rcf: dict[int, float], weight: dict[int, int]) -> float | Non
     return num / den
 
 
-def prompt_response_time(
-    log: EventLog, roster: frozenset[ActorId], variant: ResponseVariant
-) -> float | None:
-    """Communication-weighted mean responsiveness across the team.
+def prompt_response_time(log: EventLog, variant: ResponseVariant) -> float | None:
+    """Communication-weighted mean responsiveness across a team log's actors.
 
     An actor's responsiveness (RCF) averages the elapsed time in seconds
     ("et") or the event count ("fn") over the closed frames in which it
-    replied. Each roster actor's RCF is weighted by the number of events the
-    actor appears in (as sender or recipient). Actors with no defined RCF
-    are excluded from numerator and denominator; returns None when nobody
-    has one.
+    replied. Each actor's RCF is weighted by the number of events the actor
+    appears in (as sender or recipient). Actors with no defined RCF are
+    excluded from numerator and denominator; returns None when nobody has
+    one. Equals team_signals(log, cfg).prt_et or .prt_fn.
     """
     if variant not in ("et", "fn"):
         raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
-    actors = sorted(log.actors())
-    rcf_et, rcf_fn, weight, _ = _response_sums(_columns(log, actors), len(actors))
-    rcf = rcf_et if variant == "et" else rcf_fn
-    return _weighted_mean({u: x for u, x in rcf.items() if actors[u] in roster}, weight)
+    actors, columns = _columns(log)
+    rcf_et, rcf_fn, weight, _ = _response_sums(columns, len(actors))
+    return _weighted_mean(rcf_et if variant == "et" else rcf_fn, weight)
 
 
 def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
@@ -205,9 +189,8 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     extrema counters as they are made: only the current window is held, and
     only the actors it moved are judged.
     """
-    actors = sorted(team_log.actors())
+    actors, columns = _columns(team_log)
     n = len(actors)
-    columns = _columns(team_log, actors)
     rcf_et, rcf_fn, weight, n_closed = _response_sums(columns, n)
     rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
     scores = None

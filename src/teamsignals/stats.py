@@ -94,17 +94,6 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def t_cdf(t: float, df: int) -> float:
-    """Student's t cumulative distribution, P(T <= t) with df degrees."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
-
-
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson product-moment correlation of two equal-length vectors."""
     if len(x) != len(y):

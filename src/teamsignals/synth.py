@@ -16,6 +16,7 @@ equals the drawn reply delay exactly.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,17 +131,39 @@ def generate(scenario: SynthScenario, actor_prefix: str = "") -> EventLog:
     return validate_log(events).log
 
 
+def _shown(value) -> str:
+    """value as JSON text; a number too large for a float, such as 1e400, loads as infinity."""
+    if isinstance(value, float) and math.isinf(value):
+        return "infinity" if value > 0 else "-infinity"
+    return json.dumps(value)
+
+
+def _integer(key: str, value, what: str = "a JSON integer") -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be {what}, got {_shown(value)}")
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key} must be a JSON number, got {_shown(value)}")
+
+
+def _duration(key: str, value) -> int:
+    if isinstance(value, str):
+        return parse_duration(value)
+    return _integer(key, value, 'a JSON integer of seconds or a string such as "16d"')
+
+
 def _parse_reply_delay(obj) -> ReplyDelay:
     kind = obj.get("kind")
     if kind == "fixed":
-        return ReplyDelay.fixed(float(obj["seconds"]))
+        return ReplyDelay.fixed(_number("reply_delay.seconds", obj["seconds"]))
     if kind == "uniform":
-        return ReplyDelay.uniform(float(obj["lo"]), float(obj["hi"]))
+        lo, hi = _number("reply_delay.lo", obj["lo"]), _number("reply_delay.hi", obj["hi"])
+        return ReplyDelay.uniform(lo, hi)
     raise ConfigError(f"reply_delay kind must be fixed or uniform, got {kind!r}")
-
-
-def _duration(value) -> int:
-    return value if isinstance(value, int) else parse_duration(str(value))
 
 
 def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
@@ -149,8 +172,11 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     Layout: {"teams": [{"team_id": ..., "n_actors": ..., "duration": "16d",
     "mean_event_rate": 6.0, "rotation_period": "4d" | null,
     "leader_share": 1.0, "reply_delay": {"kind": "fixed", "seconds": 60},
-    "seed": 1}, ...]}. Durations accept seconds or suffixed strings. Any
-    file that is not such a layout raises ConfigError naming the file.
+    "seed": 1}, ...]}. Durations accept JSON integer seconds or suffixed
+    strings; n_actors and seed must be JSON integers and the rates, shares
+    and delays JSON numbers, never bools or strings. Any file that is not
+    such a layout raises ConfigError naming the file (and the team and key
+    of a bad value).
     """
     try:
         with open(Path(path), encoding="utf-8") as fh:
@@ -171,16 +197,16 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
         if team_id in seen:
             raise ConfigError(f"{path}: duplicate team_id {team_id!r}")
         seen.add(team_id)
-        rotation = entry.get("rotation_period")
+        period = entry.get("rotation_period")
         try:
             scenario = SynthScenario(
-                n_actors=int(entry["n_actors"]),
-                duration=_duration(entry["duration"]),
-                mean_event_rate=float(entry["mean_event_rate"]),
+                n_actors=_integer("n_actors", entry["n_actors"]),
+                duration=_duration("duration", entry["duration"]),
+                mean_event_rate=_number("mean_event_rate", entry["mean_event_rate"]),
                 reply_delay=_parse_reply_delay(entry["reply_delay"]),
-                rotation_period=None if rotation is None else _duration(rotation),
-                leader_share=float(entry.get("leader_share", 1.0)),
-                seed=int(entry.get("seed", 0)),
+                rotation_period=None if period is None else _duration("rotation_period", period),
+                leader_share=_number("leader_share", entry.get("leader_share", 1.0)),
+                seed=_integer("seed", entry.get("seed", 0)),
             )
         except KeyError as exc:
             raise ConfigError(f"{path}: team {team_id!r} needs key {exc}") from None

@@ -6,9 +6,11 @@ grid is anchored at the log start by default, and windows are emitted for
 every end strictly after the log start up to the first end at or past the
 log end, so a log spanning 24 h with a 1 h step yields ends at hours 1..24.
 
-Per-window metrics are betweenness centrality (directed, unweighted,
-unnormalized; multi-edges collapse to simple edges) and the contribution
-index (sent - received) / (sent + received).
+Every function here takes a team log (model.restrict_to_team or
+model.partition_by_team applies a roster) and numbers that log's own
+actors in sorted order. Per-window metrics are betweenness centrality
+(directed, unweighted, unnormalized; multi-edges collapse to simple edges)
+and the contribution index (sent - received) / (sent + received).
 
 _window_rows, a sliding pass that holds only the current window, is the one
 window builder. Each step recomputes presence and the contribution index
@@ -24,7 +26,7 @@ import re
 from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .model import MAX_TIMESTAMP, ActorId, EventLog
 
@@ -42,8 +44,6 @@ _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
 
 def parse_duration(text: str) -> int:
     """Parse "90m", "12h", "7d" style durations into seconds."""
-    if isinstance(text, int):
-        return text
     m = _DURATION_RE.match(text)
     if not m:
         raise ConfigError(f"cannot parse duration {text!r} (use e.g. 45s, 90m, 12h, 7d)")
@@ -77,8 +77,9 @@ class WindowConfig:
 class GraphSnapshot:
     """Directed communication graph for one window.
 
-    nodes is the full roster (actors with zero events included); edges map
-    (sender, recipient) to the event count inside the window.
+    nodes is every actor of the log (those with no event in the window
+    included); edges map (sender, recipient) to the event count inside the
+    window.
     """
 
     window_end: int
@@ -86,16 +87,11 @@ class GraphSnapshot:
     edges: dict[tuple[ActorId, ActorId], int] = field(default_factory=dict)
 
 
-def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
-    """Grid window ends covering the log range (see module docstring).
+def _grid(log: EventLog, cfg: WindowConfig) -> range:
+    """Grid window ends covering the log range (see module docstring), as a range.
 
     Raises ConfigError when the last end lies past model.MAX_TIMESTAMP.
     """
-    return list(_grid(log, cfg))
-
-
-def _grid(log: EventLog, cfg: WindowConfig) -> range:
-    """window_ends as a range, which holds no list of ends."""
     align = log.t_start if cfg.alignment is None else cfg.alignment
     step = cfg.step
     k_min = (log.t_start - align) // step + 1
@@ -107,24 +103,16 @@ def _grid(log: EventLog, cfg: WindowConfig) -> range:
     return range(align + k_min * step, align + k_max * step + 1, step)
 
 
-def build_snapshots(
-    log: EventLog, cfg: WindowConfig, roster: Iterable[ActorId]
-) -> list[GraphSnapshot]:
-    """One GraphSnapshot per grid window, with edge multiplicities.
-
-    Events touching actors outside the roster are left out, keeping every
-    edge endpoint inside nodes.
-    """
-    nodes = frozenset(roster)
+def build_snapshots(log: EventLog, cfg: WindowConfig) -> list[GraphSnapshot]:
+    """One GraphSnapshot per grid window, with edge multiplicities."""
+    nodes = log.actors()
     stamps = [e.timestamp for e in log.events]
     snapshots = []
-    for end in window_ends(log, cfg):
+    for end in _grid(log, cfg):
         lo = bisect_right(stamps, end - cfg.window_size)
         hi = bisect_right(stamps, end)
         edges: dict[tuple[ActorId, ActorId], int] = {}
         for e in log.events[lo:hi]:
-            if e.sender not in nodes or e.recipient not in nodes:
-                continue
             key = (e.sender, e.recipient)
             edges[key] = edges.get(key, 0) + 1
         snapshots.append(GraphSnapshot(window_end=end, nodes=nodes, edges=edges))
@@ -226,63 +214,44 @@ def betweenness(snapshot: GraphSnapshot) -> dict[ActorId, float]:
     return {a: scores[index[a]] for a in actors}
 
 
-def contribution_index(sent: int, received: int) -> float:
-    """(sent - received) / (sent + received); 0 for an actor with no events.
-
-    +1 means the actor only sends, -1 only receives, 0 a perfect balance.
-    """
-    if sent < 0 or received < 0:
-        raise ValueError(f"negative counts: sent={sent}, received={received}")
-    total = sent + received
-    if total == 0:
-        return 0.0
-    return (sent - received) / total
-
-
 def series(
-    log: EventLog,
-    cfg: WindowConfig,
-    metric: Metric,
-    roster: Iterable[ActorId] | None = None,
+    log: EventLog, cfg: WindowConfig, metric: Metric
 ) -> Iterator[tuple[int, list[bool], list[float]]]:
-    """Yield _window_rows' (end, presence, values) rows of one metric.
+    """Yield _window_rows' (end, presence, values) rows of one metric for a team log.
 
-    Rows are indexed like the sorted roster, by default every actor in the
-    log, and must not be modified. presence[i] is True iff actor i sent or
-    received in the window; values are 0 where it is False. An unknown
-    metric or a grid past model.MAX_TIMESTAMP raises ConfigError at the
-    call, before any row.
+    Rows are indexed like the log's actors in sorted order and must not be
+    modified. presence[i] is True iff actor i sent or received in the
+    window; values are 0 where it is False. An unknown metric or a grid
+    past model.MAX_TIMESTAMP raises ConfigError at the call, before any row.
     """
     if metric not in ("bc", "ci"):
         raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
     _grid(log, cfg)  # its ConfigError, now rather than at the first row
-    actors = sorted(log.actors() if roster is None else frozenset(roster))
-    rows = _window_rows(log, cfg, _columns(log, actors), len(actors), metric == "bc")
+    actors, columns = _columns(log)
+    rows = _window_rows(log, cfg, columns, len(actors), metric == "bc")
     if metric == "bc":
         return ((end, presence, bc) for end, presence, bc, _ci, _moved in rows)
     return ((end, presence, ci) for end, presence, _bc, ci, _moved in rows)
 
 
-def _columns(log: EventLog, actors: Sequence[ActorId]) -> Columns:
-    """Events with both ends in the sorted roster actors, in log order, as ints indexing it."""
+def _columns(log: EventLog) -> tuple[list[ActorId], Columns]:
+    """The log's actors, sorted, and its events in log order as ints indexing them."""
+    actors = sorted(log.actors())
     index = {a: i for i, a in enumerate(actors)}
     stamps, us, vs = [], array("i"), array("i")  # 4-byte ints: held at team_signals' memory peak
     for e in log.events:
-        u = index.get(e.sender)
-        v = index.get(e.recipient)
-        if u is not None and v is not None:
-            stamps.append(e.timestamp)
-            us.append(u)
-            vs.append(v)
-    return stamps, us, vs
+        stamps.append(e.timestamp)
+        us.append(index[e.sender])
+        vs.append(index[e.recipient])
+    return actors, (stamps, us, vs)
 
 
 def _window_rows(
     log: EventLog, cfg: WindowConfig, columns: Columns, n: int, want_bc: bool
 ) -> Iterator[tuple[int, list[bool], list[float], list[float], set[int]]]:
-    """Yield (end, presence, bc, ci, moved) rows, indexed like the roster, per grid window.
+    """Yield (end, presence, bc, ci, moved) rows, indexed like the actors, per grid window.
 
-    columns is _columns(log, actors) for the sorted roster of n actors. Each
+    columns and its n actors are _columns(log). Each
     event enters and leaves the window state once: an edge multiset keyed
     u * n + v and sent and received counts, which give presence and the
     contribution index. Only the actors of the events that entered or left,
@@ -338,7 +307,7 @@ def _window_rows(
         if moved:
             presence_row = presence_row.copy()
             ci_row = ci_row.copy()
-            for i in moved:  # contribution_index, inlined: the counts are never negative
+            for i in moved:  # the contribution index; 0 for an actor with no events
                 s, r = sent[i], received[i]
                 presence_row[i] = s + r > 0
                 ci_row[i] = (s - r) / (s + r) if s + r else 0.0

@@ -4,7 +4,12 @@ Betweenness is recomputed from literal path enumeration, from a
 Floyd-Warshall path-counting scheme and by the Brandes loop with int path
 counts and no depth-1 skip; extrema by a groupby scan, frame counts by
 direction-reversal counting; PRT from the list of per-pair frames that
-segment_frames builds one CommunicationFrame at a time.
+segment_frames builds one CommunicationFrame at a time; a team log by a
+plain filter over the events.
+
+The package's views that no command runs live here too: window_ends,
+contribution_index, count_extrema and t_cdf, each a direct use of the
+package's own pieces.
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from teamsignals.model import ActorId, EventLog
+from teamsignals.model import ActorId, EmptyLogError, EventLog, Team
+from teamsignals.signals import _ExtremaCounter
+from teamsignals.stats import regularized_incomplete_beta
+from teamsignals.windows import WindowConfig, _grid
 
 
 def bc_path_enumeration(n: int, edges: set[tuple[int, int]]) -> list[float]:
@@ -241,3 +249,63 @@ def prt_from_frames(log, variant: str):
             total += value
         num += total / len(values) * weight[actor]
     return num / sum(weight[a] for a in samples)
+
+
+def restrict_to_team(log: EventLog, team: Team) -> EventLog:
+    """Keep only events whose sender AND recipient are team members.
+
+    With an empty member set the log is returned unchanged; the time range
+    is preserved either way. Raises EmptyLogError when nothing remains.
+    """
+    if not team.members:
+        return log
+    kept = tuple(
+        e for e in log.events if e.sender in team.members and e.recipient in team.members
+    )
+    if not kept:
+        raise EmptyLogError(f"empty team log for team {team.team_id!r}")
+    return EventLog(events=kept, t_start=log.t_start, t_end=log.t_end)
+
+
+def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
+    """The grid's window ends as a list; ConfigError past model.MAX_TIMESTAMP."""
+    return list(_grid(log, cfg))
+
+
+def contribution_index(sent: int, received: int) -> float:
+    """(sent - received) / (sent + received); 0 for an actor with no events.
+
+    +1 means the actor only sends, -1 only receives, 0 a perfect balance.
+    """
+    if sent < 0 or received < 0:
+        raise ValueError(f"negative counts: sent={sent}, received={received}")
+    total = sent + received
+    if total == 0:
+        return 0.0
+    return (sent - received) / total
+
+
+def count_extrema(values, presence) -> int:
+    """The package's extrema counter run over one actor's series.
+
+    Each maximal contiguous present run is scanned separately: consecutive
+    equal values are compressed to one point, then interior points strictly
+    above (or below) both neighbors are counted. Run endpoints never count.
+    """
+    if len(values) != len(presence):
+        raise ValueError(f"length mismatch: {len(values)} values vs {len(presence)} presence")
+    counter = _ExtremaCounter(1)
+    for value, present in zip(values, presence):
+        counter.feed((value,), (present,))
+    return counter.total
+
+
+def t_cdf(t: float, df: int) -> float:
+    """Student's t cumulative distribution, P(T <= t) with df degrees."""
+    if df < 1:
+        raise ValueError(f"df must be >= 1, got {df}")
+    if t == 0.0:
+        return 0.5
+    x = df / (df + t * t)
+    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
+    return 1.0 - tail if t > 0 else tail

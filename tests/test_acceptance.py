@@ -16,19 +16,26 @@ import numpy as np
 
 from teamsignals.cli import main
 from teamsignals.model import validate_log
-from teamsignals.signals import count_extrema, prompt_response_time, rotating_signal
-from teamsignals.stats import p_value, t_cdf
+from teamsignals.signals import prompt_response_time, rotating_signal
+from teamsignals.stats import p_value
 from teamsignals.synth import ReplyDelay, SynthScenario, generate
 from teamsignals.windows import (
     GraphSnapshot,
     WindowConfig,
     betweenness,
     brandes_betweenness,
-    contribution_index,
     series,
 )
 
-from .oracles import bc_floyd_warshall_batch, bc_path_enumeration, reversal_count, segment_frames
+from .oracles import (
+    bc_floyd_warshall_batch,
+    bc_path_enumeration,
+    contribution_index,
+    count_extrema,
+    reversal_count,
+    segment_frames,
+    t_cdf,
+)
 
 DAY = 86400
 
@@ -239,7 +246,7 @@ def test_synthetic_discrimination():
             reply_delay=ReplyDelay.fixed(60), seed=seed,
         )
         log = generate(scenario)
-        assert prompt_response_time(log, log.actors(), "et") == 60.0
+        assert prompt_response_time(log, "et") == 60.0
 
     # uniform(30, 90): mean recovered within 5%
     for seed in range(100):
@@ -248,7 +255,7 @@ def test_synthetic_discrimination():
             reply_delay=ReplyDelay.uniform(30, 90), seed=seed,
         )
         log = generate(scenario)
-        prt = prompt_response_time(log, log.actors(), "et")
+        prt = prompt_response_time(log, "et")
         assert abs(prt - 60.0) <= 3.0, f"seed {seed}: PRT-ET {prt}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

@@ -35,12 +35,12 @@ from teamsignals.windows import (
     betweenness,
     brandes_betweenness,
     build_snapshots,
-    contribution_index,
     series,
 )
 
+from . import oracles
 from .graphs import layered_graph, random_graph
-from .oracles import brandes_reference, closed_frames
+from .oracles import brandes_reference, closed_frames, contribution_index
 
 LOG_ACTORS = "abcdef"
 ROSTER_ACTORS = LOG_ACTORS + "xy"  # x and y never appear in a log
@@ -71,14 +71,19 @@ configs = st.builds(
 @settings(deadline=None)
 @given(logs, team_lists)
 def test_partition_equals_restrict_to_team(log, teams):
+    # both against the plain filter of oracles.restrict_to_team
     team_logs, skipped = partition_by_team(log, teams)
     expected: dict = {}
     expected_skipped = []
     for team in teams:
         try:
-            expected[team.team_id] = restrict_to_team(log, team)
+            expected[team.team_id] = oracles.restrict_to_team(log, team)
         except EmptyLogError:
             expected_skipped.append(team.team_id)
+            with pytest.raises(EmptyLogError, match=repr(team.team_id)):
+                restrict_to_team(log, team)
+        else:
+            assert restrict_to_team(log, team) == expected[team.team_id]
     assert team_logs == expected
     assert list(team_logs) == list(expected)
     assert skipped == expected_skipped
@@ -89,16 +94,15 @@ def test_partition_equals_restrict_to_team(log, teams):
 def test_team_signals_equals_per_metric_composition(log, teams, cfg):
     for team in teams:
         try:
-            team_log = restrict_to_team(log, team)
+            team_log = oracles.restrict_to_team(log, team)
         except EmptyLogError:
             continue
-        roster = team_log.actors()
         expected = TeamSignals(
             rl=rotating_signal(series(team_log, cfg, "bc")),
             rc=rotating_signal(series(team_log, cfg, "ci")),
-            prt_et=prompt_response_time(team_log, roster, "et"),
-            prt_fn=prompt_response_time(team_log, roster, "fn"),
-            n_actors=len(roster),
+            prt_et=prompt_response_time(team_log, "et"),
+            prt_fn=prompt_response_time(team_log, "fn"),
+            n_actors=len(team_log.actors()),
             n_closed_frames=len(closed_frames(team_log)),
         )
         assert team_signals(team_log, cfg) == expected
@@ -107,11 +111,11 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
 @settings(deadline=None)
 @given(logs, configs)
 def test_reused_betweenness_equals_fresh_betweenness(log, cfg):
-    actors = sorted(log.actors())
-    rows = list(_window_rows(log, cfg, _columns(log, actors), len(actors), True))
+    actors, columns = _columns(log)
+    rows = list(_window_rows(log, cfg, columns, len(actors), True))
     assert [(end, p, ci) for end, p, _, ci, _ in rows] == list(series(log, cfg, "ci"))
     assert [(end, p, bc) for end, p, bc, _, _ in rows] == list(series(log, cfg, "bc"))
-    snapshots = build_snapshots(log, cfg, actors)
+    snapshots = build_snapshots(log, cfg)
     assert [end for end, *_ in rows] == [s.window_end for s in snapshots]
     for (_, _, bc, _, _), snap in zip(rows, snapshots):
         fresh = betweenness(snap)
@@ -152,18 +156,29 @@ aligned_configs = st.builds(
     st.integers(1, 4),
     st.one_of(st.none(), st.integers(-4 * 3600, 6 * 3600)),
 )
-# rosters with actors absent from the log (x, y) and without some log actors,
-# whose events fall outside the roster; None is every actor in the log
-rosters = st.one_of(st.none(), st.frozensets(st.sampled_from(ROSTER_ACTORS)))
+
+
+@st.composite
+def _team_logs(draw):
+    """Whole logs, and logs narrowed to a roster that leaves some of their actors out."""
+    log = draw(logs)
+    members = draw(st.frozensets(st.sampled_from(LOG_ACTORS)))
+    if members:  # with one event's ends, so the team log is never empty
+        kept = draw(st.sampled_from(log.events))
+        members |= {kept.sender, kept.recipient}
+    return oracles.restrict_to_team(log, Team("t", members))
+
+
+team_logs = _team_logs()
 
 
 @settings(deadline=None)
-@given(logs, rosters, aligned_configs)
-def test_sliding_pass_equals_snapshots(log, roster, cfg):
-    actors = sorted(log.actors() if roster is None else roster)
+@given(team_logs, aligned_configs)
+def test_sliding_pass_equals_snapshots(log, cfg):
+    actors, columns = _columns(log)
     with _kernel_inputs() as kernel_inputs:
-        rows = list(_window_rows(log, cfg, _columns(log, actors), len(actors), True))
-    snapshots = build_snapshots(log, cfg, actors)
+        rows = list(_window_rows(log, cfg, columns, len(actors), True))
+    snapshots = build_snapshots(log, cfg)
     # the kernel runs once per change of edge set, starting from the empty
     # one, on the adjacency betweenness(snapshot) builds
     index = {a: i for i, a in enumerate(actors)}
@@ -179,7 +194,7 @@ def test_sliding_pass_equals_snapshots(log, roster, cfg):
     assert kernel_inputs == expected_inputs
     assert [end for end, *_ in rows] == [s.window_end for s in snapshots]
     for metric in ("bc", "ci"):
-        assert list(series(log, cfg, metric, roster)) == [
+        assert list(series(log, cfg, metric)) == [
             (end, presence, bc if metric == "bc" else ci) for end, presence, bc, ci, _ in rows
         ]
     for (_, presence, bc, ci, _), snap in zip(rows, snapshots):
@@ -206,7 +221,7 @@ def test_edge_leaving_and_reentering_in_one_step_keeps_scores():
     cfg = WindowConfig(2 * 3600, 3600)
     with _kernel_inputs() as calls:
         rows = list(series(log, cfg, "bc"))
-    snapshots = build_snapshots(log, cfg, sorted(log.actors()))
+    snapshots = build_snapshots(log, cfg)
     assert [sorted(s.edges) for s in snapshots] == [[("a", "b"), ("b", "c")]] * 2
     assert calls == [[[1], [2], []]]
     assert [values[1] for _, _, values in rows] == [1.0, 1.0]  # b, in roster order a, b, c

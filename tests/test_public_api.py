@@ -1,5 +1,6 @@
 """The package's top-level names agree with the README's Library section and the bench."""
 
+import ast
 import importlib
 import re
 import types
@@ -69,3 +70,26 @@ def test_bench_traced_names_resolve():
         assert isinstance(fn, types.FunctionType), name
         assert fn.__module__ == module.__name__, name
         assert not attr.startswith("_"), name
+
+
+def test_every_public_function_is_used():
+    # a public module-level function is documented API, read by the bench,
+    # or called from the package's own code; docstrings do not count
+    src = README.parent / "src" / "teamsignals"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    allowed = set(teamsignals.__all__) | used
+    traced = set(_bench_traced_names())
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in allowed and f"{module}.{node.name}" not in traced
+    ]
+    assert unused == []

@@ -6,16 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, InteractionEvent, validate_log
-from teamsignals.signals import (
-    _response_sums,
-    count_extrema,
-    prompt_response_time,
-    rotating_signal,
-    team_signals,
-)
+from teamsignals.signals import _response_sums, prompt_response_time, rotating_signal, team_signals
 from teamsignals.windows import WindowConfig, _columns
 
-from .oracles import CommunicationFrame, extrema_scan, reversal_count, segment_frames
+from .oracles import (
+    CommunicationFrame,
+    count_extrema,
+    extrema_scan,
+    reversal_count,
+    segment_frames,
+)
 
 HOUR = 3600
 
@@ -199,8 +199,8 @@ def test_frames_match_reversal_oracle():
 
 def responsiveness(log, variant):
     """RCF by actor name, from the PRT pass's per-responder sums, in their float-sum order."""
-    actors = sorted(log.actors())
-    rcf_et, rcf_fn, _, _ = _response_sums(_columns(log, actors), len(actors))
+    actors, columns = _columns(log)
+    rcf_et, rcf_fn, _, _ = _response_sums(columns, len(actors))
     return {actors[u]: x for u, x in (rcf_et if variant == "et" else rcf_fn).items()}
 
 
@@ -229,7 +229,7 @@ class TestResponsiveness:
     def test_unknown_variant(self):
         log = validate_log([ev("x", "y", 0)]).log
         with pytest.raises(ValueError):
-            prompt_response_time(log, log.actors(), "median")
+            prompt_response_time(log, "median")
 
 
 class TestPromptResponseTime:
@@ -243,19 +243,19 @@ class TestPromptResponseTime:
                 ev("u", "z", 200), ev("z", "u", 260),
             ]
         ).log
-        prt = prompt_response_time(log, log.actors(), "et")
+        prt = prompt_response_time(log, "et")
         assert math.isclose(prt, 200.0 / 6.0)
 
     def test_unanswered_ping_undefined(self):
         log = validate_log([ev("x", "y", 0)]).log
-        assert prompt_response_time(log, log.actors(), "et") is None
+        assert prompt_response_time(log, "et") is None
 
     def test_constant_rcf_is_fixed_point(self):
         log = validate_log(
             [ev("x", "y", 0), ev("y", "x", 50), ev("u", "z", 200), ev("z", "u", 250)]
         ).log
-        assert prompt_response_time(log, log.actors(), "et") == 50.0
-        assert prompt_response_time(log, log.actors(), "fn") == 2.0
+        assert prompt_response_time(log, "et") == 50.0
+        assert prompt_response_time(log, "fn") == 2.0
 
 
 class TestTeamSignals:

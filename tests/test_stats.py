@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -16,8 +17,9 @@ from teamsignals.stats import (
     pearson_r,
     regularized_incomplete_beta,
     significance_stars,
-    t_cdf,
 )
+
+from .oracles import t_cdf
 
 # high-precision references computed with mpmath (40 digits)
 T_CDF_REFS = [
@@ -148,14 +150,27 @@ def make_signals(rl, rc=1.0, prt_fn=2.0, prt_et=60.0):
     return TeamSignals(rl=rl, rc=rc, prt_fn=prt_fn, prt_et=prt_et, n_actors=4, n_closed_frames=5)
 
 
+def skipped_cells(record) -> list[tuple[str, str, str]]:
+    """(variable, signal, reason) of each correlate skip warning, in the order raised."""
+    return [
+        re.fullmatch(r"skipping \((\w+), (\w+)\): (.+)", str(w.message)).groups() for w in record
+    ]
+
+
 class TestCorrelate:
     def test_full_overlap(self):
         signals = {f"t{i}": make_signals(rl=float(i), rc=float(i % 3)) for i in range(10)}
         depvars = DependentVariableTable(
             {(f"t{i}", "creativity"): 2.0 * i + 1.0 for i in range(10)}
         )
-        cells = correlate(signals, depvars)
-        assert len(cells) == 2  # PRT columns are constant -> degenerate, skipped
+        with pytest.warns(UserWarning) as record:
+            cells = correlate(signals, depvars)
+        # PRT columns are constant -> degenerate, skipped
+        assert skipped_cells(record) == [
+            ("creativity", "PRT_FN", "zero variance"),
+            ("creativity", "PRT_ET", "zero variance"),
+        ]
+        assert len(cells) == 2
         rl_cell = next(c for c in cells if c.signal_name == "RL")
         assert rl_cell.n == 10
         assert math.isclose(rl_cell.r, 1.0)
@@ -184,16 +199,23 @@ class TestCorrelate:
     def test_insufficient_teams(self):
         signals = {f"t{i}": make_signals(rl=float(i)) for i in range(2)}
         depvars = DependentVariableTable({(f"t{i}", "x"): float(i) for i in range(2)})
-        with pytest.raises(NoOverlapError):
-            correlate(signals, depvars)
+        with pytest.warns(UserWarning) as record:
+            with pytest.raises(NoOverlapError):
+                correlate(signals, depvars)
+        assert skipped_cells(record) == [
+            ("x", signal, "only 2 paired teams") for signal in ("RL", "RC", "PRT_FN", "PRT_ET")
+        ]
 
     def test_warning_for_skipped_cells(self):
         signals = {f"t{i}": make_signals(rl=float(i), rc=float(3 - i)) for i in range(4)}
         depvars = DependentVariableTable(
             {(f"t{i}", "y"): float(i) for i in range(4)} | {("t0", "rare"): 1.0}
         )
-        with pytest.warns(UserWarning, match="rare"):
+        with pytest.warns(UserWarning) as record:
             cells = correlate(signals, depvars)
+        assert skipped_cells(record) == [
+            ("rare", signal, "only 1 paired teams") for signal in ("RL", "RC", "PRT_FN", "PRT_ET")
+        ] + [("y", "PRT_FN", "zero variance"), ("y", "PRT_ET", "zero variance")]
         assert all(c.variable_name == "y" for c in cells)
 
     def test_no_shared_teams(self):

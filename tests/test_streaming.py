@@ -16,16 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, InteractionEvent, validate_log
-from teamsignals.signals import (
-    _ExtremaCounter,
-    count_extrema,
-    rotating_signal,
-    team_signals,
-)
+from teamsignals.signals import _ExtremaCounter, rotating_signal, team_signals
 from teamsignals.windows import WindowConfig, _columns, _window_rows, series
 
-from .oracles import closed_frames, extrema_scan, prt_from_frames, segment_frames
-from .test_one_pass import _kernel_inputs, aligned_configs, logs, rosters
+from .oracles import closed_frames, count_extrema, extrema_scan, prt_from_frames, segment_frames
+from .test_one_pass import _kernel_inputs, aligned_configs, logs, team_logs
 from .test_signals import responsiveness
 
 HOUR = 3600
@@ -93,7 +88,7 @@ def test_unchanged_rows_are_yielded_as_the_same_objects():
     log = validate_log(
         [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
     ).log
-    columns = _columns(log, ["a", "b"])
+    _actors, columns = _columns(log)
     got = list(_window_rows(log, WindowConfig(HOUR, HOUR, alignment=0), columns, 2, True))
     assert [end for end, *_ in got] == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
     (_, p0, b0, c0, _), (_, p1, b1, c1, _), (_, p2, b2, c2, _), (_, p3, b3, c3, _), _ = got
@@ -105,9 +100,9 @@ def test_unchanged_rows_are_yielded_as_the_same_objects():
     assert b2 is b1 and b3 is b1
 
 
-def _rows(log, cfg, roster=None):
-    actors = sorted(log.actors() if roster is None else roster)
-    return list(_window_rows(log, cfg, _columns(log, actors), len(actors), True)), len(actors)
+def _rows(log, cfg):
+    actors, columns = _columns(log)
+    return list(_window_rows(log, cfg, columns, len(actors), True)), len(actors)
 
 
 def _totals(rows, n, moved_only):
@@ -126,9 +121,9 @@ def _totals(rows, n, moved_only):
 
 
 @settings(deadline=None)
-@given(logs, rosters, aligned_configs)
-def test_only_moved_actors_change_presence_or_ci(log, roster, cfg):
-    rows, n = _rows(log, cfg, roster)
+@given(team_logs, aligned_configs)
+def test_only_moved_actors_change_presence_or_ci(log, cfg):
+    rows, n = _rows(log, cfg)
     before = ([False] * n, [0.0] * n)  # the rows of a window with no events
     for _end, presence, _bc, ci, moved in rows:
         changed = {i for i in range(n) if presence[i] != before[0][i] or ci[i] != before[1][i]}
@@ -137,17 +132,16 @@ def test_only_moved_actors_change_presence_or_ci(log, roster, cfg):
 
 
 @settings(deadline=None)
-@given(logs, rosters, aligned_configs)
-def test_judging_moved_actors_equals_judging_whole_rows(log, roster, cfg):
-    rows, n = _rows(log, cfg, roster)
+@given(team_logs, aligned_configs)
+def test_judging_moved_actors_equals_judging_whole_rows(log, cfg):
+    rows, n = _rows(log, cfg)
     assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
 
 
 @settings(deadline=None)
-@given(logs, rosters, aligned_configs)
-def test_presence_and_ci_rows_do_not_depend_on_want_bc(log, roster, cfg):
-    actors = sorted(log.actors() if roster is None else roster)
-    columns = _columns(log, actors)
+@given(team_logs, aligned_configs)
+def test_presence_and_ci_rows_do_not_depend_on_want_bc(log, cfg):
+    actors, columns = _columns(log)
 
     def rows(want_bc):
         return [(end, presence, ci, moved) for end, presence, _bc, ci, moved

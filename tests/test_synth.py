@@ -68,7 +68,7 @@ class TestGenerate:
     def test_static_hub_has_max_degree_every_window(self):
         log = generate(scenario(seed=9))
         cfg = WindowConfig(window_size=6 * 3600, step=6 * 3600)
-        for snap in build_snapshots(log, cfg, sorted(log.actors())):
+        for snap in build_snapshots(log, cfg):
             degree: dict[str, int] = {}
             for (src, dst), count in snap.edges.items():
                 degree[src] = degree.get(src, 0) + count
@@ -162,3 +162,43 @@ class TestScenarioFile:
         }]}))
         with pytest.raises(ConfigError):
             load_scenario_file(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_actors", 3.9),
+            ("n_actors", "4"),
+            ("n_actors", True),
+            ("seed", 1.5),
+            ("seed", "1"),
+            ("duration", True),
+            ("duration", 3600.5),
+            ("rotation_period", True),
+            ("mean_event_rate", "30"),
+            ("mean_event_rate", True),
+            ("leader_share", "1.0"),
+            ("reply_delay.seconds", "30"),
+            ("reply_delay.lo", True),
+            ("reply_delay.hi", "60"),
+        ],
+    )
+    def test_value_of_the_wrong_json_type(self, tmp_path, key, value):
+        # a bool, a string or a fraction is never read as a number or an integer
+        entry = {
+            "team_id": "t1", "n_actors": 3, "duration": 3600, "mean_event_rate": 30.0,
+            "reply_delay": {"kind": "uniform", "lo": 30, "hi": 60},
+        }
+        if key.startswith("reply_delay."):
+            sub = key.split(".")[1]
+            if sub == "seconds":
+                entry["reply_delay"] = {"kind": "fixed", "seconds": 30}
+            entry["reply_delay"][sub] = value
+        else:
+            entry[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"teams": [entry]}))
+        with pytest.raises(ConfigError) as info:
+            load_scenario_file(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: team 't1': {key} must be a JSON ")
+        assert message.endswith(f", got {json.dumps(value)}")

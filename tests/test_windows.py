@@ -13,13 +13,17 @@ from teamsignals.windows import (
     betweenness,
     brandes_betweenness,
     build_snapshots,
-    contribution_index,
     parse_duration,
     series,
-    window_ends,
 )
 
-from .oracles import bc_floyd_warshall, bc_path_enumeration, pair_distances
+from .oracles import (
+    bc_floyd_warshall,
+    bc_path_enumeration,
+    contribution_index,
+    pair_distances,
+    window_ends,
+)
 
 HOUR = 3600
 
@@ -78,7 +82,7 @@ class TestGrid:
     def test_single_event_edge_multiplicity(self):
         log = validate_log([ev("a", "b", 100), ev("a", "b", 101)]).log
         cfg = WindowConfig(window_size=2 * HOUR, step=HOUR)
-        snaps = build_snapshots(log, cfg, log.actors())
+        snaps = build_snapshots(log, cfg)
         assert len(snaps) == 1
         assert snaps[0].edges == {("a", "b"): 2}
         assert snaps[0].nodes == frozenset("ab")
@@ -86,25 +90,18 @@ class TestGrid:
     def test_windows_are_left_open(self):
         log = validate_log([ev("a", "b", 0), ev("b", "a", 2 * HOUR)]).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
-        snaps = build_snapshots(log, cfg, log.actors())
+        snaps = build_snapshots(log, cfg)
         # event at t_start sits on the open boundary of the first window
         assert snaps[0].edges == {}
         assert snaps[1].edges == {("b", "a"): 1}
 
     def test_roster_kept_when_inactive(self):
-        log = validate_log([ev("a", "b", 100)]).log
+        # c's one event falls in the second window; the first still holds c
+        log = validate_log([ev("a", "b", 0), ev("b", "a", 1800), ev("c", "a", 2 * HOUR)]).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
-        snaps = build_snapshots(log, cfg, {"a", "b", "ghost"})
-        assert "ghost" in snaps[0].nodes
-
-    def test_events_outside_roster_excluded(self):
-        log = validate_log([ev("a", "b", 100), ev("a", "c", 200), ev("c", "b", 300)]).log
-        cfg = WindowConfig(window_size=2 * HOUR, step=HOUR)
-        snaps = build_snapshots(log, cfg, {"a", "b"})
-        assert snaps[0].edges == {("a", "b"): 1}
-        # and a narrowed series stays computable
-        rows = list(series(log, cfg, "bc", roster={"a", "b"}))
-        assert {len(values) for _, _, values in rows} == {2}
+        snaps = build_snapshots(log, cfg)
+        assert snaps[0].edges == {("b", "a"): 1}
+        assert snaps[0].nodes == frozenset("abc")
 
 
 def snapshot_from_edges(edges, n):
@@ -225,10 +222,10 @@ class TestSeries:
         assert all(ws["a"][1])
 
     def test_silent_actor_zero_and_absent(self):
-        log = validate_log([ev("a", "b", 100), ev("b", "a", 7300)]).log
+        # mute's one event sits at the log start, on the first window's open edge
+        log = validate_log([ev("mute", "a", 100), ev("a", "b", 100), ev("b", "a", 7300)]).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
-        roster = {"a", "b", "mute"}
-        values, presence = by_actor(list(series(log, cfg, "bc", roster=roster)), roster)["mute"]
+        values, presence = by_actor(list(series(log, cfg, "bc")), log.actors())["mute"]
         assert set(values) == {0.0}
         assert not any(presence)
 
