@@ -15,6 +15,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from .ingest import (
@@ -119,12 +120,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _team_job(job: tuple[str, EventLog, WindowConfig]) -> tuple[str, int, TeamSignals]:
-    team_id, team_log, cfg = job
-    sig = team_signals(team_log, cfg)
-    return team_id, len(team_log), sig
-
-
 def _compute_all_signals(
     log: EventLog, teams: list[Team], cfg: WindowConfig, jobs: int
 ) -> tuple[dict[str, TeamSignals], dict[str, int], list[str]]:
@@ -138,16 +133,17 @@ def _compute_all_signals(
             file=sys.stderr,
         )
     team_logs, skipped = partition_by_team(log, teams)
-    pending = [(team_id, team_logs[team_id], cfg) for team_id in sorted(team_logs)]
+    team_ids = sorted(team_logs)
+    pending = [team_logs[team_id] for team_id in team_ids]
     if jobs > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            results = list(pool.map(_team_job, pending))
+            results = list(pool.map(team_signals, pending, repeat(cfg)))
     else:
-        results = [_team_job(job) for job in pending]
-    signals = {team_id: sig for team_id, _, sig in results}
-    n_events = {team_id: count for team_id, count, _ in results}
+        results = map(team_signals, pending, repeat(cfg))
+    signals = dict(zip(team_ids, results))
+    n_events = {team_id: len(team_logs[team_id]) for team_id in team_ids}
     return signals, n_events, sorted(skipped)
 
 

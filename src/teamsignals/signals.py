@@ -88,18 +88,12 @@ class _ExtremaCounter:
 
 
 def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]]) -> float:
-    """Mean per-actor extrema count over the actors of windows.series rows (RL or RC).
-
-    A row whose objects repeat the row before it changes no actor and is skipped.
-    """
+    """Mean per-actor extrema count over the actors of windows.series rows (RL or RC)."""
     counter = None
-    fed = (None, None)
     for _end, presence, values in rows:
         if counter is None:
             counter = _ExtremaCounter(len(presence))
-        if values is not fed[0] or presence is not fed[1]:
-            counter.feed(values, presence)
-            fed = (values, presence)
+        counter.feed(values, presence)
     if counter is None or not counter.last:
         raise ValueError("series has no actors")
     return counter.total / len(counter.last)

@@ -157,6 +157,8 @@ def _duration(key: str, value) -> int:
 
 
 def _parse_reply_delay(obj) -> ReplyDelay:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"reply_delay must be a JSON object, got {_shown(obj)}")
     kind = obj.get("kind")
     if kind == "fixed":
         return ReplyDelay.fixed(_number("reply_delay.seconds", obj["seconds"]))
@@ -173,10 +175,11 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     "mean_event_rate": 6.0, "rotation_period": "4d" | null,
     "leader_share": 1.0, "reply_delay": {"kind": "fixed", "seconds": 60},
     "seed": 1}, ...]}. Durations accept JSON integer seconds or suffixed
-    strings; n_actors and seed must be JSON integers and the rates, shares
-    and delays JSON numbers, never bools or strings. Any file that is not
-    such a layout raises ConfigError naming the file (and the team and key
-    of a bad value).
+    strings; team_id must be a JSON string, reply_delay a JSON object,
+    n_actors and seed JSON integers and the rates, shares and delays JSON
+    numbers, never bools or strings. Any file that is not such a layout
+    raises ConfigError naming the file (and the team and key of a bad
+    value).
     """
     try:
         with open(Path(path), encoding="utf-8") as fh:
@@ -191,7 +194,10 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: each team must be a JSON object")
-        team_id = str(entry.get("team_id", "")).strip()
+        team_id = entry.get("team_id", "")
+        if not isinstance(team_id, str):
+            raise ConfigError(f"{path}: team_id must be a JSON string, got {_shown(team_id)}")
+        team_id = team_id.strip()
         if not team_id:
             raise ConfigError(f"{path}: each team needs a team_id")
         if team_id in seen:
@@ -210,7 +216,7 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
             )
         except KeyError as exc:
             raise ConfigError(f"{path}: team {team_id!r} needs key {exc}") from None
-        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: team {team_id!r}: {exc}") from None
         out.append((team_id, scenario))
     return out

@@ -1,10 +1,12 @@
 """Sliding-window communication graphs and per-window actor metrics.
 
-Windows live on a fixed step grid: window k covers the half-open interval
-``(end_k - window_size, end_k]`` with ``end_k = alignment + k*step``. The
-grid is anchored at the log start by default, and windows are emitted for
-every end strictly after the log start up to the first end at or past the
-log end, so a log spanning 24 h with a 1 h step yields ends at hours 1..24.
+Windows form a fixed grid anchored at the log's range start: window k
+covers ``(end_k - window_size, end_k]`` with ``end_k = t_start + k * step``,
+for k = 1 up to the first end at or past t_end, so a log spanning 24 h
+with a 1 h step has ends at hours 1..24. A team log keeps the full log's
+range, so every team of a log shares one grid. When window_size equals
+step (``--window 1h --step 1h``), an event stamped at t_start lies in no
+window.
 
 Every function here takes a team log (model.restrict_to_team or
 model.partition_by_team applies a roster) and numbers that log's own
@@ -52,15 +54,13 @@ def parse_duration(text: str) -> int:
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Window length and step in seconds, plus an optional grid origin.
+    """Window length and step in seconds.
 
     step must not exceed window_size: windows tile or overlap, never gap.
-    alignment=None anchors the grid at the log start.
     """
 
     window_size: int
     step: int
-    alignment: int | None = None
 
     def __post_init__(self) -> None:
         if self.window_size <= 0:
@@ -88,19 +88,16 @@ class GraphSnapshot:
 
 
 def _grid(log: EventLog, cfg: WindowConfig) -> range:
-    """Grid window ends covering the log range (see module docstring), as a range.
+    """Window ends t_start + k*step, from k = 1 to the first end at or past t_end, as a range.
 
     Raises ConfigError when the last end lies past model.MAX_TIMESTAMP.
     """
-    align = log.t_start if cfg.alignment is None else cfg.alignment
     step = cfg.step
-    k_min = (log.t_start - align) // step + 1
-    k_max = -((align - log.t_end) // step)  # ceil((t_end - align) / step)
-    if k_max < k_min:
-        k_max = k_min
-    if align + k_max * step > MAX_TIMESTAMP:
+    k_last = max(1, -((log.t_start - log.t_end) // step))  # ceil((t_end - t_start) / step)
+    last = log.t_start + k_last * step
+    if last > MAX_TIMESTAMP:
         raise ConfigError(f"the window grid (step {step}s) ends past 9999-12-31T23:59:59Z")
-    return range(align + k_min * step, align + k_max * step + 1, step)
+    return range(log.t_start + step, last + 1, step)
 
 
 def build_snapshots(log: EventLog, cfg: WindowConfig) -> list[GraphSnapshot]:

@@ -268,7 +268,10 @@ def restrict_to_team(log: EventLog, team: Team) -> EventLog:
 
 
 def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
-    """The grid's window ends as a list; ConfigError past model.MAX_TIMESTAMP."""
+    """The grid's window ends as a list; ConfigError past model.MAX_TIMESTAMP.
+
+    The ends are t_start + k*step, for k = 1 up to the first end at or past t_end.
+    """
     return list(_grid(log, cfg))
 
 

@@ -15,7 +15,7 @@ from importlib.resources import files
 import numpy as np
 
 from teamsignals.cli import main
-from teamsignals.model import validate_log
+from teamsignals.model import EventLog, validate_log
 from teamsignals.signals import prompt_response_time, rotating_signal
 from teamsignals.stats import p_value
 from teamsignals.synth import ReplyDelay, SynthScenario, generate
@@ -220,16 +220,13 @@ def test_synthetic_discrimination():
             reply_delay=ReplyDelay.fixed(60), rotation_period=rotation, seed=seed,
         )
         static = replace(rotating, rotation_period=None)
-        # grid anchored half an exchange gap before the first ping, so the
-        # left-open window edge never slices an exchange in two
-        cfg = WindowConfig(
-            window_size=rotation // 2,
-            step=rotation // 8,
-            alignment=-(rotating.exchange_gap // 2),
-        )
+        cfg = WindowConfig(window_size=rotation // 2, step=rotation // 8)
         scores = {}
         for name, scenario in (("rot", rotating), ("sta", static)):
+            # the range starts half an exchange gap before the first ping at
+            # 0, so the left-open window edge never slices an exchange in two
             log = generate(scenario)
+            log = EventLog(log.events, -(rotating.exchange_gap // 2), log.t_end)
             scores[name] = (
                 rotating_signal(series(log, cfg, "bc")),
                 rotating_signal(series(log, cfg, "ci")),

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from teamsignals import windows
 from teamsignals.model import (
     EmptyLogError,
+    EventLog,
     InteractionEvent,
     Team,
     partition_by_team,
@@ -148,20 +149,16 @@ def test_repeated_edge_set_computes_betweenness_once():
     assert [values[1] for _, _, values in rows] == [1.0] * 8  # b, in roster order a, b, c
 
 
-# grids anchored at the log start, before it and after it (the logs span
-# 0..4h), including step == window_size
-aligned_configs = st.builds(
-    lambda step, mult, alignment: WindowConfig(step * mult, step, alignment),
-    st.sampled_from([900, 1800, 3600]),
-    st.integers(1, 4),
-    st.one_of(st.none(), st.integers(-4 * 3600, 6 * 3600)),
-)
-
-
 @st.composite
 def _team_logs(draw):
-    """Whole logs, and logs narrowed to a roster that leaves some of their actors out."""
+    """Whole logs, and logs narrowed to a roster that leaves some of their actors out.
+
+    The range may start up to 4h before the full log's first event, so the
+    grid (anchored at the range start) takes every phase against the events.
+    """
     log = draw(logs)
+    lead = draw(st.integers(0, 4 * 3600))
+    log = EventLog(log.events, log.t_start - lead, log.t_end)
     members = draw(st.frozensets(st.sampled_from(LOG_ACTORS)))
     if members:  # with one event's ends, so the team log is never empty
         kept = draw(st.sampled_from(log.events))
@@ -173,7 +170,7 @@ team_logs = _team_logs()
 
 
 @settings(deadline=None)
-@given(team_logs, aligned_configs)
+@given(team_logs, configs)
 def test_sliding_pass_equals_snapshots(log, cfg):
     actors, columns = _columns(log)
     with _kernel_inputs() as kernel_inputs:

@@ -93,3 +93,47 @@ def test_every_public_function_is_used():
         and node.name not in allowed and f"{module}.{node.name}" not in traced
     ]
     assert unused == []
+
+
+def _name(expr: ast.expr) -> str | None:
+    """The name a Name or an Attribute ends in, such as replace for dataclasses.replace."""
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _name(deco.func if isinstance(deco, ast.Call) else deco) == "dataclass"
+        for deco in node.decorator_list
+    )
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    # a field with a default that no call in the package ever passes is a
+    # setting with one value in use: a constant, not an option
+    src = README.parent / "src" / "teamsignals"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    fields: dict[str, list[tuple[str, bool]]] = {}  # class -> (field, has a default), in order
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields[node.name] = [
+                    (stmt.target.id, stmt.value is not None)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    passed: set[tuple[str, str]] = set()
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = _name(node.func)
+        keywords = {kw.arg for kw in node.keywords}
+        if name == "replace":  # dataclasses.replace, on a value of any dataclass
+            passed |= {(c, f) for c, fs in fields.items() for f, _ in fs if f in keywords}
+        elif name in fields:
+            by_position = [f for f, _ in fields[name][: len(node.args)]]
+            passed |= {(name, f) for f in [*by_position, *keywords]}
+    never_set = [
+        f"{name}.{field}"
+        for name, fs in sorted(fields.items())
+        for field, has_default in fs
+        if has_default and (name, field) not in passed
+    ]
+    assert never_set == []

@@ -20,7 +20,7 @@ from teamsignals.signals import _ExtremaCounter, rotating_signal, team_signals
 from teamsignals.windows import WindowConfig, _columns, _window_rows, series
 
 from .oracles import closed_frames, count_extrema, extrema_scan, prt_from_frames, segment_frames
-from .test_one_pass import _kernel_inputs, aligned_configs, logs, team_logs
+from .test_one_pass import _kernel_inputs, configs, logs, team_logs
 from .test_signals import responsiveness
 
 HOUR = 3600
@@ -85,11 +85,10 @@ def test_counter_equals_count_extrema_for_every_actor(grid):
 
 def test_unchanged_rows_are_yielded_as_the_same_objects():
     # a-b at 0.5h and b-a at 4.5h; with 1h windows three windows between are empty
-    log = validate_log(
-        [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
-    ).log
+    events = [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
+    log = EventLog(validate_log(events).log.events, 0, 9 * HOUR // 2)
     _actors, columns = _columns(log)
-    got = list(_window_rows(log, WindowConfig(HOUR, HOUR, alignment=0), columns, 2, True))
+    got = list(_window_rows(log, WindowConfig(HOUR, HOUR), columns, 2, True))
     assert [end for end, *_ in got] == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
     (_, p0, b0, c0, _), (_, p1, b1, c1, _), (_, p2, b2, c2, _), (_, p3, b3, c3, _), _ = got
     assert p0 == [True, True] and c0 == [1.0, -1.0]
@@ -121,7 +120,7 @@ def _totals(rows, n, moved_only):
 
 
 @settings(deadline=None)
-@given(team_logs, aligned_configs)
+@given(team_logs, configs)
 def test_only_moved_actors_change_presence_or_ci(log, cfg):
     rows, n = _rows(log, cfg)
     before = ([False] * n, [0.0] * n)  # the rows of a window with no events
@@ -132,14 +131,14 @@ def test_only_moved_actors_change_presence_or_ci(log, cfg):
 
 
 @settings(deadline=None)
-@given(team_logs, aligned_configs)
+@given(team_logs, configs)
 def test_judging_moved_actors_equals_judging_whole_rows(log, cfg):
     rows, n = _rows(log, cfg)
     assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
 
 
 @settings(deadline=None)
-@given(team_logs, aligned_configs)
+@given(team_logs, configs)
 def test_presence_and_ci_rows_do_not_depend_on_want_bc(log, cfg):
     actors, columns = _columns(log)
 

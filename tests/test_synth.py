@@ -180,6 +180,8 @@ class TestScenarioFile:
             ("reply_delay.seconds", "30"),
             ("reply_delay.lo", True),
             ("reply_delay.hi", "60"),
+            ("reply_delay", 60),
+            ("reply_delay", [30]),
         ],
     )
     def test_value_of_the_wrong_json_type(self, tmp_path, key, value):
@@ -202,3 +204,24 @@ class TestScenarioFile:
         message = str(info.value)
         assert message.startswith(f"{path}: team 't1': {key} must be a JSON ")
         assert message.endswith(f", got {json.dumps(value)}")
+
+    @pytest.mark.parametrize("value", [True, 7, None, ["t1"]])
+    def test_team_id_of_the_wrong_json_type(self, tmp_path, value):
+        # never str()-ed into a team such as "True" or "7"
+        entry = {
+            "team_id": value, "n_actors": 3, "duration": 3600, "mean_event_rate": 30.0,
+            "reply_delay": {"kind": "fixed", "seconds": 30},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"teams": [entry]}))
+        with pytest.raises(ConfigError) as info:
+            load_scenario_file(path)
+        assert str(info.value) == f"{path}: team_id must be a JSON string, got {json.dumps(value)}"
+
+    @pytest.mark.parametrize("entry", [{}, {"team_id": ""}, {"team_id": "  "}])
+    def test_missing_or_blank_team_id(self, tmp_path, entry):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"teams": [entry]}))
+        with pytest.raises(ConfigError) as info:
+            load_scenario_file(path)
+        assert str(info.value) == f"{path}: each team needs a team_id"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teamsignals.model import MAX_TIMESTAMP, InteractionEvent, validate_log
+from teamsignals.model import MAX_TIMESTAMP, EventLog, InteractionEvent, validate_log
 from teamsignals.windows import (
     ConfigError,
     GraphSnapshot,
@@ -74,9 +74,10 @@ class TestGrid:
         cfg = WindowConfig(window_size=2 * HOUR, step=HOUR)
         assert window_ends(log, cfg) == [500 + HOUR]
 
-    def test_explicit_alignment(self):
-        log = validate_log([ev("a", "b", 1800), ev("b", "a", 9000)]).log
-        cfg = WindowConfig(window_size=HOUR, step=HOUR, alignment=0)
+    def test_range_start_before_first_event(self):
+        # a team log keeps the full log's range, which can start before its events
+        log = EventLog(validate_log([ev("a", "b", 1800), ev("b", "a", 9000)]).log.events, 0, 9000)
+        cfg = WindowConfig(window_size=HOUR, step=HOUR)
         assert window_ends(log, cfg) == [HOUR, 2 * HOUR, 3 * HOUR]
 
     def test_single_event_edge_multiplicity(self):
@@ -214,8 +215,8 @@ def by_actor(rows, actors):
 class TestSeries:
     def test_alternating_directions_alternate_ci(self):
         events = [ev("a", "b", 1800), ev("b", "a", 5400), ev("a", "b", 9000), ev("b", "a", 12600)]
-        log = validate_log(events).log
-        cfg = WindowConfig(window_size=HOUR, step=HOUR, alignment=0)
+        log = EventLog(validate_log(events).log.events, 0, 12600)
+        cfg = WindowConfig(window_size=HOUR, step=HOUR)
         ws = by_actor(list(series(log, cfg, "ci")), "ab")
         assert ws["a"][0] == [1.0, -1.0, 1.0, -1.0]
         assert ws["b"][0] == [-1.0, 1.0, -1.0, 1.0]
@@ -272,30 +273,32 @@ class TestSeries:
             series(log, WindowConfig(HOUR, HOUR), "bc")
 
 
+# logs whose range starts at or up to 1000 s before their first event, as a team log's can
 grid_logs = st.builds(
-    lambda a, b: validate_log([ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)]).log,
+    lambda a, b, lead: EventLog(
+        (ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)), min(a, b) - lead, max(a, b) + 1
+    ),
     st.integers(0, 10_000),
     st.integers(0, 10_000),
+    st.integers(0, 1000),
 )
 grid_cfgs = st.builds(
-    lambda step, mult, align: WindowConfig(step * mult, step, align),
+    lambda step, mult: WindowConfig(step * mult, step),
     st.integers(1, 400),
     st.integers(1, 5),
-    st.one_of(st.none(), st.integers(-1000, 1000)),
 )
 
 
 @given(grid_logs, grid_cfgs)
 def test_window_grid_properties(log, cfg):
     ends = window_ends(log, cfg)
-    align = log.t_start if cfg.alignment is None else cfg.alignment
     # a contiguous grid strictly after the start, reaching the end
     assert all(b - a == cfg.step for a, b in zip(ends, ends[1:]))
     assert ends[0] > log.t_start
     assert ends[0] - cfg.step <= log.t_start
     assert ends[-1] >= log.t_end or len(ends) == 1
     assert ends[-1] - cfg.step < log.t_end or len(ends) == 1
-    assert all((end - align) % cfg.step == 0 for end in ends)
+    assert all((end - log.t_start) % cfg.step == 0 for end in ends)
     # windows jointly cover everything strictly inside the range
     covered_lo = ends[0] - cfg.window_size
     assert covered_lo <= log.t_start
