@@ -4,6 +4,10 @@ Subcommands: validate, metrics, series, surface, correlate, synth. All
 numeric output uses fixed decimals and rows are sorted, so repeated runs
 over the same inputs are byte-identical regardless of --jobs. Exit codes:
 0 success, 1 internal error, 2 user/input error.
+
+A command warns with a UserWarning and fails with an exception; only main
+writes stderr: a `warning: ...` line per warning, in the order raised,
+then any `error: ...` (USER_ERRORS) or `internal error: ...` line.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import csv
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -26,6 +29,7 @@ from .ingest import (
     parse_teams,
 )
 from .model import (
+    CleanedLog,
     EmptyLogError,
     EventLog,
     Team,
@@ -41,7 +45,8 @@ USER_ERRORS = (ParseError, ConfigError, EmptyLogError, NoOverlapError, OSError)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write a CSV via temp file + rename, so readers never see partial output."""
+    """Write a CSV, making its directory, via temp file + rename: no reader sees part of it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -55,43 +60,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     print(f"wrote {path}")
 
 
-@contextmanager
-def _warnings_to_stderr():
-    """Print the warnings raised inside the block as `warning: ...` lines.
-
-    They are printed when the block completes; an error drops them.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-
-
 def _fmt(value: float | None, places: int = 6) -> str:
     return "" if value is None else f"{value:.{places}f}"
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_log(args) -> EventLog:
-    cleaned = validate_log(parse_events(args.events, args.format))
-    return cleaned.log
-
-
-def _parse_teams(path) -> list[Team]:
-    with _warnings_to_stderr():  # duplicate roster rows
-        return parse_teams(path)
+def _load_log(args) -> CleanedLog:
+    return validate_log(parse_events(args.events, args.format))
 
 
 def _load_teams(args) -> list[Team]:
-    if args.teams:
-        return _parse_teams(args.teams)
-    return [Team("ALL")]
+    return parse_teams(args.teams) if args.teams else [Team("ALL")]
 
 
 def _window_config(args) -> WindowConfig:
@@ -110,7 +88,7 @@ def _pick_team(teams: list[Team], name: str | None) -> Team:
 
 
 def cmd_validate(args) -> int:
-    cleaned = validate_log(parse_events(args.events, args.format))
+    cleaned = _load_log(args)
     log = cleaned.log
     print(f"events: {len(log)}")
     print(f"actors: {len(log.actors())}")
@@ -127,10 +105,9 @@ def _compute_all_signals(
     n_windows = len(_grid(log, cfg))
     if n_windows < MIN_PRESENCE_RUN:
         # every team log spans the full log's range, so shares this grid
-        print(
-            f"warning: the window grid has {n_windows} window(s), fewer than "
-            f"{MIN_PRESENCE_RUN}: RL and RC are 0 for every team",
-            file=sys.stderr,
+        warnings.warn(
+            f"the window grid has {n_windows} window(s), fewer than "
+            f"{MIN_PRESENCE_RUN}: RL and RC are 0 for every team"
         )
     team_logs, skipped = partition_by_team(log, teams)
     team_ids = sorted(team_logs)
@@ -148,17 +125,16 @@ def _compute_all_signals(
 
 
 def cmd_metrics(args) -> int:
-    log = _load_log(args)
+    log = _load_log(args).log
     teams = _load_teams(args)
     cfg = _window_config(args)
     signals, n_events, skipped = _compute_all_signals(log, teams, cfg, args.jobs)
     for team_id in skipped:
-        print(f"warning: team {team_id!r} has no events, row skipped", file=sys.stderr)
+        warnings.warn(f"team {team_id!r} has no events, row skipped")
     if not signals:
-        print("error: every team produced an empty log", file=sys.stderr)
-        return 2
+        raise EmptyLogError("every team produced an empty log")
     _write_csv(
-        _out_dir(args) / "signals.csv",
+        Path(args.out) / "signals.csv",
         ["team_id", "n_actors", "n_events", "rl", "rc", "prt_fn", "prt_et_seconds", "n_closed_frames"],
         (
             [team_id, s.n_actors, n_events[team_id], _fmt(s.rl), _fmt(s.rc),
@@ -170,10 +146,9 @@ def cmd_metrics(args) -> int:
 
 
 def _team_series(args):
-    log = _load_log(args)
+    log = _load_log(args).log
     if args.teams:
-        team = _pick_team(_parse_teams(args.teams), args.team)
-        log = restrict_to_team(log, team)
+        log = restrict_to_team(log, _pick_team(parse_teams(args.teams), args.team))
     elif args.team:
         raise ConfigError("--team requires --teams")
     return sorted(log.actors()), series(log, _window_config(args), args.metric)
@@ -182,7 +157,7 @@ def _team_series(args):
 def cmd_series(args) -> int:
     actors, rows = _team_series(args)
     _write_csv(
-        _out_dir(args) / "series.csv",
+        Path(args.out) / "series.csv",
         ["window_end"] + actors,
         ([format_timestamp(end)] + [_fmt(v) for v in values] for end, _, values in rows),
     )
@@ -194,7 +169,7 @@ def cmd_surface(args) -> int:
 
     actors, rows = _team_series(args)
     _write_csv(
-        _out_dir(args) / "surface.csv",
+        Path(args.out) / "surface.csv",
         ["window_end"] + [f"rank_{i + 1}" for i in range(len(actors))],
         ([format_timestamp(end)] + [f"{v:.6f}" for v in row] for end, row in surface(rows)),
     )
@@ -203,19 +178,17 @@ def cmd_surface(args) -> int:
 
 def cmd_correlate(args) -> int:
     if not args.depvars:
-        print("error: correlate requires --depvars", file=sys.stderr)
-        return 2
-    log = _load_log(args)
+        raise ConfigError("correlate requires --depvars")
+    log = _load_log(args).log
     teams = _load_teams(args)
     cfg = _window_config(args)
     depvars = parse_dependent_variables(args.depvars)
     signals, _, skipped = _compute_all_signals(log, teams, cfg, args.jobs)
     for team_id in skipped:
-        print(f"warning: team {team_id!r} has no events, excluded", file=sys.stderr)
-    with _warnings_to_stderr():
-        cells = correlate(signals, depvars)
+        warnings.warn(f"team {team_id!r} has no events, excluded")
+    cells = correlate(signals, depvars)
     _write_csv(
-        _out_dir(args) / "correlations.csv",
+        Path(args.out) / "correlations.csv",
         ["variable_name", "signal_name", "r", "p", "n", "stars"],
         (
             [cell.variable_name, cell.signal_name, _fmt(cell.r, 3),
@@ -231,11 +204,8 @@ def cmd_synth(args) -> int:
 
     entries = load_scenario_file(args.scenario)
     if args.seed is not None:
-        entries = [
-            (team_id, replace(sc, seed=args.seed + i)) for i, (team_id, sc) in enumerate(entries)
-        ]
+        entries = [(t, replace(sc, seed=args.seed + i)) for i, (t, sc) in enumerate(entries)]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_events = []
     rosters: list[tuple[str, str]] = []
     for team_id, scenario in entries:
@@ -260,19 +230,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, teams=True, window=True):
+    def add_common(p, windowed=True):
         p.add_argument("--events", required=True, help="events file (csv or jsonl)")
         p.add_argument("--format", choices=["csv", "jsonl"], default=None,
                        help="events file format (default: by extension)")
-        if teams:
+        if windowed:
             p.add_argument("--teams", default=None, help="teams.csv roster")
-        if window:
             p.add_argument("--window", default="7d", help="window size, e.g. 12h (default 7d)")
             p.add_argument("--step", default="1d", help="grid step, e.g. 1h (default 1d)")
             p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("validate", help="parse and sanity-check an events file")
-    add_common(p, teams=False, window=False)
+    add_common(p, windowed=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("metrics", help="per-team RL/RC/PRT table (signals.csv)")
@@ -308,14 +277,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)  # every one, whatever the filters say
+        try:
+            code, failure = args.func(args), None
+        except USER_ERRORS as exc:
+            code, failure = 2, f"error: {exc}"
+        except Exception as exc:  # pragma: no cover - defensive
+            code, failure = 1, f"internal error: {exc}"
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:  # another category is shown as Python shows it
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if failure:
+        print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -47,9 +47,6 @@ class InteractionEvent:
     recipient: ActorId
     timestamp: int
 
-    def sort_key(self) -> tuple[int, str, str]:
-        return (self.timestamp, self.sender, self.recipient)
-
 
 @dataclass(frozen=True)
 class EventLog:
@@ -97,7 +94,7 @@ def validate_log(raw_events) -> CleanedLog:
     permutation of the input yields the same log.
     Raises EmptyLogError if nothing survives cleaning.
     """
-    key = attrgetter("timestamp", "sender", "recipient")  # InteractionEvent.sort_key
+    key = attrgetter("timestamp", "sender", "recipient")
     deduped: list[InteractionEvent] = []
     dropped = collapsed = 0
     prev = None

@@ -49,10 +49,6 @@ class ReplyDelay:
         if not self.hi >= self.lo:
             raise ConfigError(f"reply delay bounds out of order: {self.lo} > {self.hi}")
 
-    @property
-    def mean(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
     def draw(self, rng: random.Random) -> int:
         if self.kind == "fixed":
             return round(self.lo)

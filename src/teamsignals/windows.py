@@ -14,6 +14,16 @@ actors in sorted order. Per-window metrics are betweenness centrality
 (directed, unweighted, unnormalized; multi-edges collapse to simple edges)
 and the contribution index (sent - received) / (sent + received).
 
+Every window's betweenness scores are snapped to the nearest multiple of
+1e-9 (_snapped_betweenness). The kernel's summation order follows the
+sorted names, so equal true scores can differ in their last bits, and the
+extrema rule compares scores exactly. The measured noise is at most
+3.6e-12 against a half-grid of 5e-10, so equal true scores snap to equal
+floats. The rule cannot cover a true score within noise of a half-grid
+point, where two summation orders could round apart. A snapped score that
+lands on a 6-decimal half-point prints rounded by its binary value, which
+may differ in the sixth decimal from the exact score rounded.
+
 _window_rows, a sliding pass that holds only the current window, is the one
 window builder. Each step recomputes presence and the contribution index
 only for the actors whose events entered or left, and yields them with the
@@ -200,14 +210,23 @@ def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
     return bc
 
 
+def _snapped_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
+    """brandes_betweenness with each score snapped to the nearest multiple of 1e-9.
+
+    Every window score comes from here. 1e9 is exact in binary, so equal
+    rounded integers give equal floats, never -0.0.
+    """
+    return [round(x * 1e9) / 1e9 for x in brandes_betweenness(adjacency)]
+
+
 def betweenness(snapshot: GraphSnapshot) -> dict[ActorId, float]:
-    """Betweenness per actor for one window; isolated actors score 0."""
+    """Snapped betweenness per actor for one window; isolated actors score 0."""
     actors = sorted(snapshot.nodes)
     index = {a: i for i, a in enumerate(actors)}
     adjacency: list[list[int]] = [[] for _ in actors]
     for (src, dst), _count in sorted(snapshot.edges.items()):
         adjacency[index[src]].append(index[dst])
-    scores = brandes_betweenness(adjacency)
+    scores = _snapped_betweenness(adjacency)
     return {a: scores[index[a]] for a in actors}
 
 
@@ -316,7 +335,7 @@ def _window_rows(
                 else:
                     adjacency[u].remove(v)
             toggled.clear()
-            fresh = brandes_betweenness(adjacency)
+            fresh = _snapped_betweenness(adjacency)
             if fresh != scores:  # scores are never -0.0 or NaN, so equal means the same bits
                 scores = fresh
         yield end, presence_row, scores, ci_row, moved

@@ -1,11 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Betweenness is recomputed from literal path enumeration, from a
-Floyd-Warshall path-counting scheme and by the Brandes loop with int path
-counts and no depth-1 skip; extrema by a groupby scan, frame counts by
-direction-reversal counting; PRT from the list of per-pair frames that
-segment_frames builds one CommunicationFrame at a time; a team log by a
-plain filter over the events.
+Floyd-Warshall path-counting scheme, by the Brandes loop with int path
+counts and no depth-1 skip, and by that loop in exact rationals; extrema
+by a groupby scan, frame counts by direction-reversal counting; PRT from
+the list of per-pair frames that segment_frames builds one
+CommunicationFrame at a time; a team log by a plain filter over the
+events.
 
 The package's views that no command runs live here too: window_ends,
 contribution_index, count_extrema and t_cdf, each a direct use of the
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -175,6 +177,38 @@ def brandes_reference(adjacency) -> list[float]:
                 delta[v] += sigma[v] * coeff
             bc[w] += delta[w]
     return bc
+
+
+def brandes_exact(adjacency) -> list[Fraction]:
+    """The Brandes kernel in exact rationals: int path counts, Fraction dependencies."""
+    n = len(adjacency)
+    bc = [Fraction(0)] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1
+        order = [s]
+        for v in order:
+            for w in adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    order.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [Fraction(0)] * n
+        for w in order[:0:-1]:
+            for v in preds[w]:
+                delta[v] += Fraction(sigma[v], sigma[w]) * (1 + delta[w])
+            bc[w] += delta[w]
+    return bc
+
+
+def snap(x) -> float:
+    """x to the nearest multiple of 1e-9, as windows._snapped_betweenness rounds a score."""
+    return round(x * 10**9) / 1e9
 
 
 @dataclass(frozen=True)

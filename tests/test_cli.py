@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import warnings
 
 import pytest
 
@@ -7,6 +8,7 @@ from teamsignals import cli
 from teamsignals.cli import main
 from teamsignals.ingest import parse_events
 from teamsignals.model import validate_log
+from teamsignals.stats import SIGNAL_FIELDS
 from teamsignals.synth import generate, load_scenario_file
 
 EVENTS_HEADER = "timestamp,sender,recipients\n"
@@ -146,6 +148,54 @@ class TestMetrics:
              "--window", "1h", "--step", "1h", "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+
+    def test_makes_a_nested_out_directory(self, tmp_path):
+        events = alternating_events_file(tmp_path)
+        out_dir = tmp_path / "a" / "b" / "c"
+        rc = main(["metrics", "--events", str(events), "--window", "1h", "--step", "1h",
+                   "--out", str(out_dir)])
+        assert rc == 0
+        assert (out_dir / "signals.csv").is_file()
+
+
+class TestStderr:
+    """main prints every warning as a warning: line, in order, before any error: line."""
+
+    def test_correlate_warnings_come_before_its_error(self, tmp_path, capsys):
+        events = write(tmp_path, "events.csv", EVENTS_HEADER + "0,a,b\n3600,b,a\n7200,c,d\n10800,d,c\n")
+        teams = write(tmp_path, "teams.csv", "team_id,member\ng1,a\ng1,b\ng2,c\ng2,d\n")
+        depvars = write(tmp_path, "depvars.csv", "team_id,variable_name,value\ng1,perf,1\ng2,perf,2\n")
+        rc = main(["correlate", "--events", str(events), "--teams", str(teams),
+                   "--depvars", str(depvars), "--window", "2h", "--step", "1h",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "".join(
+            f"warning: skipping (perf, {signal}): only 2 paired teams\n" for signal in SIGNAL_FIELDS
+        ) + "error: no (variable, signal) cell with 3+ jointly defined teams\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_roster_warning_comes_before_a_window_error(self, tmp_path, capsys):
+        events = alternating_events_file(tmp_path)
+        teams = write(tmp_path, "teams.csv", "team_id,member\ng,a\ng,b\ng,a\n")
+        rc = main(["metrics", "--events", str(events), "--teams", str(teams),
+                   "--window", "soon", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"warning: {teams}:4: duplicate member 'a' in team 'g'\n"
+            "error: cannot parse duration 'soon' (use e.g. 45s, 90m, 12h, 7d)\n"
+        )
+
+    def test_other_warning_categories_are_not_warning_lines(self, tmp_path, capsys, monkeypatch):
+        def deprecated_validate_log(events):
+            warnings.warn("an old call", DeprecationWarning)
+            return validate_log(events)
+
+        monkeypatch.setattr(cli, "validate_log", deprecated_validate_log)
+        path = clean_events_file(tmp_path)
+        with pytest.warns(DeprecationWarning, match="an old call"):  # passed on, not swallowed
+            assert main(["validate", "--events", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSeries:
@@ -352,6 +402,18 @@ class TestSynthCommand:
         out_dir = tmp_path / "out"
         assert main(["synth", "--scenario", str(scen_path), "--out", str(out_dir)]) == 1
         assert list(out_dir.iterdir()) == []
+
+    def test_makes_a_nested_out_directory(self, tmp_path):
+        scenario = {
+            "teams": [
+                {"team_id": "alpha", "n_actors": 3, "duration": "1d",
+                 "mean_event_rate": 12.0, "reply_delay": {"kind": "fixed", "seconds": 45}}
+            ]
+        }
+        scen_path = write(tmp_path, "scenario.json", json.dumps(scenario))
+        out_dir = tmp_path / "a" / "b"
+        assert main(["synth", "--scenario", str(scen_path), "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["events.csv", "teams.csv"]
 
     def test_seed_override_changes_log(self, tmp_path):
         scenario = {

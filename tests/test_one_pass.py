@@ -32,6 +32,7 @@ from teamsignals.signals import (
 from teamsignals.windows import (
     WindowConfig,
     _columns,
+    _snapped_betweenness,
     _window_rows,
     betweenness,
     brandes_betweenness,
@@ -41,7 +42,7 @@ from teamsignals.windows import (
 
 from . import oracles
 from .graphs import layered_graph, random_graph
-from .oracles import brandes_reference, closed_frames, contribution_index
+from .oracles import brandes_exact, brandes_reference, closed_frames, contribution_index, snap
 
 LOG_ACTORS = "abcdef"
 ROSTER_ACTORS = LOG_ACTORS + "xy"  # x and y never appear in a log
@@ -319,6 +320,14 @@ def larger_graphs(draw):
 @given(larger_graphs())
 def test_kernel_is_bit_identical_up_to_40_nodes(adjacency):
     assert brandes_betweenness(adjacency) == brandes_reference(adjacency)
+
+
+@settings(deadline=None, max_examples=200)
+@given(larger_graphs())
+def test_snapped_scores_equal_the_exact_scores_snapped(adjacency):
+    # float noise (at most a few 1e-12) never reaches a half-grid point
+    # (5e-10) here; a true value within noise of one would be the exception
+    assert _snapped_betweenness(adjacency) == [snap(x) for x in brandes_exact(adjacency)]
 
 
 def _most_shortest_paths(adjacency) -> int:

@@ -73,8 +73,9 @@ def test_bench_traced_names_resolve():
 
 
 def test_every_public_function_is_used():
-    # a public module-level function is documented API, read by the bench,
-    # or called from the package's own code; docstrings do not count
+    # a public module-level function, or a public method or property of a
+    # class, is documented API, read by the bench, or used from the
+    # package's own code; docstrings do not count
     src = README.parent / "src" / "teamsignals"
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
     used = {
@@ -85,12 +86,24 @@ def test_every_public_function_is_used():
     }
     allowed = set(teamsignals.__all__) | used
     traced = set(_bench_traced_names())
-    unused = [
-        f"{module}.{node.name}"
+    defined = [
+        (f"{module}.{node.name}", node)
         for module, tree in sorted(trees.items())
         for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    defined += [
+        (f"{name}.{node.name}", node)
+        for name, cls in defined
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    unused = [
+        name
+        for name, node in defined
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and node.name not in allowed and f"{module}.{node.name}" not in traced
+        and node.name not in allowed and name not in traced
     ]
     assert unused == []
 

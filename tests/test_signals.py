@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import _response_sums, prompt_response_time, rotating_signal, team_signals
-from teamsignals.windows import WindowConfig, _columns
+from teamsignals.windows import WindowConfig, _columns, build_snapshots, series
 
 from .oracles import (
     CommunicationFrame,
+    brandes_exact,
     count_extrema,
     extrema_scan,
     reversal_count,
@@ -331,6 +332,42 @@ class TestTeamSignals:
         sig1 = team_signals(validate_log(events).log, cfg)
         sig2 = team_signals(validate_log(swapped).log, cfg)
         assert sig1 == sig2
+
+
+def _seeded_log(relabel_seed: int | None) -> EventLog:
+    """60 events among 8 actors over 28 days, seed 29; names shuffled by relabel_seed."""
+    rng = random.Random(29)
+    actors = [f"m{j:02d}" for j in range(8)]
+    weights = [1.0 / (j + 1) for j in range(8)]
+    rows = []
+    for _ in range(60):
+        sender = rng.choices(actors, weights=weights)[0]
+        recipient = rng.choice([a for a in actors if a != sender])
+        rows.append((sender, recipient, rng.randrange(28 * 86400 + 1)))
+    names = actors.copy()
+    if relabel_seed is not None:
+        random.Random(relabel_seed).shuffle(names)
+    name = dict(zip(actors, names))
+    return validate_log([ev(name[s], name[r], t) for s, r, t in rows]).log
+
+
+def test_rl_is_exact_under_actor_relabelling():
+    # the sorted actor names set the kernel's summation order; unsnapped,
+    # float noise broke or made ties on this log, and RL read 5.625 under
+    # these names but 5.875 under each of the three relabellings
+    cfg = WindowConfig(7 * 86400, 86400)
+    got = {(s.rl, s.rc) for s in (team_signals(_seeded_log(k), cfg) for k in (None, 0, 1, 2))}
+    assert len(got) == 1
+    # RL from the exact rational scores of every window
+    log = _seeded_log(None)
+    index = {a: i for i, a in enumerate(sorted(log.actors()))}
+    exact_rows = []
+    for (end, presence, _), snapshot in zip(series(log, cfg, "bc"), build_snapshots(log, cfg)):
+        adjacency: list[list[int]] = [[] for _ in index]
+        for src, dst in sorted(snapshot.edges):
+            adjacency[index[src]].append(index[dst])
+        exact_rows.append((end, presence, brandes_exact(adjacency)))
+    assert got == {(rotating_signal(exact_rows), team_signals(log, cfg).rc)}
 
 
 @given(

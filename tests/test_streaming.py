@@ -11,6 +11,7 @@ what judging whole rows counts.
 
 import tracemalloc
 from collections import defaultdict
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,7 +231,7 @@ def test_frame_pairs_in_sorted_actor_order(log):
 
 def _event_log(rows) -> EventLog:
     """An EventLog built by hand: sorted, but self-loops and duplicates kept."""
-    events = sorted((InteractionEvent(s, r, t) for s, r, t in rows), key=InteractionEvent.sort_key)
+    events = sorted((InteractionEvent(s, r, t) for s, r, t in rows), key=attrgetter("timestamp", "sender", "recipient"))
     return EventLog(tuple(events), events[0].timestamp, events[-1].timestamp)
 
 
