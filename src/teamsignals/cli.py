@@ -72,6 +72,11 @@ def _load_teams(args) -> list[Team]:
     return parse_teams(args.teams) if args.teams else [Team("ALL")]
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+
+
 def _window_config(args) -> WindowConfig:
     return WindowConfig(parse_duration(args.window), parse_duration(args.step))
 
@@ -125,6 +130,7 @@ def _compute_all_signals(
 
 
 def cmd_metrics(args) -> int:
+    _check_jobs(args)
     log = _load_log(args).log
     teams = _load_teams(args)
     cfg = _window_config(args)
@@ -179,6 +185,7 @@ def cmd_surface(args) -> int:
 def cmd_correlate(args) -> int:
     if not args.depvars:
         raise ConfigError("correlate requires --depvars")
+    _check_jobs(args)
     log = _load_log(args).log
     teams = _load_teams(args)
     cfg = _window_config(args)

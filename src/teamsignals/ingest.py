@@ -26,7 +26,6 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -44,19 +43,6 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line = line
-
-
-@dataclass(frozen=True)
-class DependentVariableTable:
-    """Per-team outcome values keyed by (team_id, variable_name)."""
-
-    values: dict[tuple[str, str], float]
-
-    def variable_names(self) -> list[str]:
-        return sorted({name for _, name in self.values})
-
-    def get(self, team_id: str, variable_name: str) -> float | None:
-        return self.values.get((team_id, variable_name))
 
 
 # RFC 3339 date-time (section 5.6); the offset may be left out, meaning UTC.
@@ -276,8 +262,12 @@ def parse_teams(path) -> list[Team]:
     return [Team(team_id, frozenset(roster)) for team_id, roster in sorted(members.items())]
 
 
-def parse_dependent_variables(path) -> DependentVariableTable:
-    """Read the per-team outcome table; duplicate keys are an error."""
+def parse_dependent_variables(path) -> dict[tuple[str, str], float]:
+    """Per-team outcome values by (team_id, variable_name); a duplicate key is an error.
+
+    A value is a finite ASCII decimal: as in timestamps, a digit separator
+    (1_000) and non-ASCII digits are rejected, though float() reads both.
+    """
     path = Path(path)
     values: dict[tuple[str, str], float] = {}
     for line, row in _csv_rows(path, ["team_id", "variable_name", "value"]):
@@ -287,6 +277,8 @@ def parse_dependent_variables(path) -> DependentVariableTable:
         if key in values:
             raise ParseError(path, line, f"duplicate (team_id, variable) {key}")
         try:
+            if not row[2].isascii() or "_" in row[2]:
+                raise ValueError
             value = float(row[2])
         except ValueError:
             raise ParseError(path, line, f"non-numeric value {row[2]!r}") from None
@@ -295,7 +287,7 @@ def parse_dependent_variables(path) -> DependentVariableTable:
         values[key] = value
     if not values:
         raise ParseError(path, None, "no data rows")
-    return DependentVariableTable(values=values)
+    return values
 
 
 def format_timestamp(ts: int) -> str:

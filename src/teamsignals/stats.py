@@ -1,8 +1,8 @@
 """Pearson correlation with two-tailed significance, dependency-free.
 
-The t distribution is evaluated through the regularized incomplete beta
-function with a continued-fraction expansion (relative error well below
-1e-10), so no numeric integration or external stats package is needed.
+A Pearson test has integer degrees of freedom, so its two-tailed p is a
+finite series in r (Abramowitz & Stegun 26.7.3-4), with an absolute error
+of at most 1e-13 for n <= 5000: no iteration, no stats package.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .ingest import DependentVariableTable
 from .signals import TeamSignals, _sum_left
 
 # signal name in correlations.csv -> TeamSignals field, in output order
@@ -29,69 +28,6 @@ class DegenerateSampleError(ValueError):
 
 class NoOverlapError(ValueError):
     """No (variable, signal) cell had enough jointly-defined teams."""
-
-
-_MAX_ITER = 300
-_CF_EPS = 1e-16
-_TINY = 1e-300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (Lentz's method)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
@@ -115,18 +51,30 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
 def p_value(r: float, n: int) -> float:
     """Two-tailed significance of a Pearson r at sample size n.
 
-    Uses t = r * sqrt((n-2) / (1-r^2)) against Student's t with n-2 degrees
-    of freedom; the two tails collapse to one incomplete-beta evaluation.
+    Student's t at df = n - 2 as the finite series of Abramowitz & Stegun
+    26.7.3-4 in s = |r| and c2 = 1 - r^2, with df // 2 terms in the bracket:
+      even df: p = 1 - s (1 + 1/2 c2 + 1*3/(2*4) c2^2 + ...)
+      odd df:  p = 1 - 2/pi (asin s + s sqrt(c2) (1 + 2/3 c2 + 2*4/(3*5) c2^2 + ...))
+    p is within 1e-13 of the exact value, absolutely, for n <= 5000 (3e-14
+    measured against 40-digit mpmath), so a p below that keeps no relative
+    accuracy. The clamp keeps a difference that rounds to -2e-16 from printing
+    as -0.000.
     """
     if n < 3:
         raise InsufficientDataError(f"need n >= 3, got {n}")
     if abs(r) > 1.0:
         raise ValueError(f"|r| must be <= 1, got {r}")
-    if abs(r) == 1.0:
-        return 0.0
     df = n - 2
-    t = abs(r) * math.sqrt(df / (1.0 - r * r))
-    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    odd = df % 2
+    s = abs(r)
+    c2 = 1.0 - r * r
+    term, total = 1.0, 0.0
+    for k in range(df // 2):
+        total += term
+        term *= c2 * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    if odd:
+        return max(0.0, 1.0 - (math.asin(s) + s * math.sqrt(c2) * total) / (math.pi / 2))
+    return max(0.0, 1.0 - s * total)
 
 
 def significance_stars(p: float) -> str:
@@ -154,7 +102,7 @@ class CorrelationCell:
 
 
 def correlate(
-    signals: Mapping[str, TeamSignals], depvars: DependentVariableTable
+    signals: Mapping[str, TeamSignals], depvars: Mapping[tuple[str, str], float]
 ) -> list[CorrelationCell]:
     """All (variable, signal) correlation cells over the shared teams.
 
@@ -166,12 +114,12 @@ def correlate(
     """
     cells: list[CorrelationCell] = []
     team_ids = sorted(signals)
-    for variable in depvars.variable_names():
+    for variable in sorted({name for _, name in depvars}):
         for signal_name, field in SIGNAL_FIELDS.items():
             xs: list[float] = []
             ys: list[float] = []
             for team_id in team_ids:
-                value = depvars.get(team_id, variable)
+                value = depvars.get((team_id, variable))
                 metric = getattr(signals[team_id], field)
                 if value is None or metric is None:
                     continue

@@ -9,13 +9,15 @@ CommunicationFrame at a time; a team log by a plain filter over the
 events.
 
 The package's views that no command runs live here too: window_ends,
-contribution_index, count_extrema and t_cdf, each a direct use of the
-package's own pieces.
+contribution_index and count_extrema, each a direct use of the package's
+own pieces. The regularized incomplete beta, by Lentz's continued fraction, is
+the reference for stats.p_value's finite series, and t_cdf is built on it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +26,6 @@ import numpy as np
 
 from teamsignals.model import ActorId, EmptyLogError, EventLog, Team
 from teamsignals.signals import _ExtremaCounter
-from teamsignals.stats import regularized_incomplete_beta
 from teamsignals.windows import WindowConfig, _grid
 
 
@@ -335,6 +336,69 @@ def count_extrema(values, presence) -> int:
     for value, present in zip(values, presence):
         counter.feed((value,), (present,))
     return counter.total
+
+
+_MAX_ITER = 300
+_CF_EPS = 1e-16
+_TINY = 1e-300
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta function (Lentz's method)."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta failed to converge for a={a}, b={b}, x={x}")
+
+
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must be in [0, 1], got {x}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def t_cdf(t: float, df: int) -> float:

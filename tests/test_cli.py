@@ -354,6 +354,18 @@ class TestCorrelate:
         assert started == [2]
         assert len((tmp_path / "signals.csv").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("command", ["metrics", "correlate"])
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, command, jobs):
+        events = alternating_events_file(tmp_path)
+        depvars = write(tmp_path, "depvars.csv", "team_id,variable_name,value\nALL,y,1\n")
+        extra = ["--depvars", str(depvars)] if command == "correlate" else []
+        rc = main([command, "--events", str(events), "--jobs", jobs, *extra,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynthCommand:
     def test_writes_events_and_teams(self, tmp_path):

@@ -352,9 +352,7 @@ class TestParseTeams:
 class TestParseDependentVariables:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "dv.csv", "team_id,variable_name,value\nt1,creativity,4.2\n")
-        table = parse_dependent_variables(path)
-        assert table.get("t1", "creativity") == 4.2
-        assert table.variable_names() == ["creativity"]
+        assert parse_dependent_variables(path) == {("t1", "creativity"): 4.2}
 
     def test_duplicate_key(self, tmp_path):
         path = write(
@@ -366,9 +364,11 @@ class TestParseDependentVariables:
             parse_dependent_variables(path)
 
     def test_non_numeric(self, tmp_path):
-        path = write(tmp_path, "dv.csv", "team_id,variable_name,value\nt1,creativity,high\n")
-        with pytest.raises(ParseError, match=":2"):
-            parse_dependent_variables(path)
+        # float() reads a digit separator and non-ASCII digits; a timestamp rejects both
+        for value in ["high", "1_000", "\u0661\u0662\u0663"]:
+            path = write(tmp_path, "dv.csv", f"team_id,variable_name,value\nt1,creativity,{value}\n")
+            with pytest.raises(ParseError, match=f":2: non-numeric value '{value}'"):
+                parse_dependent_variables(path)
 
     def test_non_finite_rejected(self, tmp_path):
         path = write(tmp_path, "dv.csv", "team_id,variable_name,value\nt1,creativity,inf\n")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teamsignals.ingest import DependentVariableTable
 from teamsignals.signals import TeamSignals, _sum_left
 from teamsignals.stats import (
     CorrelationCell,
@@ -15,11 +14,10 @@ from teamsignals.stats import (
     correlate,
     p_value,
     pearson_r,
-    regularized_incomplete_beta,
     significance_stars,
 )
 
-from .oracles import t_cdf
+from .oracles import regularized_incomplete_beta, t_cdf
 
 # high-precision references computed with mpmath (40 digits)
 T_CDF_REFS = [
@@ -34,6 +32,31 @@ P_VALUE_REFS = [
     (-0.546, 24, 0.005778903218),
     (0.928, 10, 0.0001077164174),
     (-0.610, 10, 0.06111374436),
+]
+
+# (r, n, p): mpmath's regularized incomplete beta at 40 digits, to 17, for
+# both parities of n - 2; 0.0 stands for a p below the smallest float
+P_SERIES_REFS = [
+    (1e-09, 3, 0.99999999936338023), (0.0172, 3, 0.98904959994228774),
+    (0.193, 3, 0.87635652461738682), (0.707, 3, 0.50009612958708877),
+    (0.999999, 3, 0.00090031639119642723),
+    (1e-09, 4, 0.999999999), (0.0172, 4, 0.9828), (0.193, 4, 0.807),
+    (0.707, 4, 0.29300000000000004), (0.999999, 4, 1.0000000000287557e-06),
+    (1e-09, 5, 0.99999999872676046), (0.0172, 5, 0.97810135968068006),
+    (0.193, 5, 0.75579897250317743), (0.707, 5, 0.18178625791886586),
+    (0.999999, 5, 1.2004215748646405e-09),
+    (1e-09, 6, 0.9999999985), (0.0172, 6, 0.974202544224), (0.193, 6, 0.71409452849999999),
+    (0.707, 6, 0.11619662150000003), (0.999999, 6, 1.499999500086267e-12),
+    (1e-09, 901, 0.99999997608341676), (0.0172, 901, 0.60612822047469392),
+    (0.193, 901, 5.2148659002924547e-09), (0.707, 901, 2.0941227927242765e-137),
+    (0.999999, 901, 0.0),  # 5.5e-2564
+    (1e-09, 914, 0.99999997591101891), (0.0172, 914, 0.60353436130063574),
+    (0.193, 914, 4.0469179537902267e-09), (0.707, 914, 2.3017096264238506e-139),
+    (0.999999, 914, 0.0),  # 4.9e-2601
+    (1e-09, 5000, 0.99999994359514801), (0.0172, 5000, 0.22398129623675917),
+    (0.193, 5000, 3.6828006004893166e-43),
+    (0.707, 5000, 0.0),  # 1.8e-754
+    (0.999999, 5000, 0.0),  # 2.1e-14244
 ]
 
 
@@ -145,6 +168,20 @@ class TestPValue:
     def test_sign_irrelevant(self):
         assert p_value(0.62, 15) == p_value(-0.62, 15)
 
+    @pytest.mark.parametrize("r,n,expected", P_SERIES_REFS)
+    def test_series_absolute_error(self, r, n, expected):
+        assert abs(p_value(r, n) - expected) <= 1e-13
+        assert abs(p_value(-r, n) - expected) <= 1e-13
+
+    @given(st.floats(1e-4, 1.0), st.sampled_from([1.0, -1.0]), st.integers(3, 5000))
+    def test_matches_incomplete_beta(self, s, sign, n):
+        # below |r| = 1e-4, 1 - r*r rounds and the oracle's own error grows to 1e-9
+        r = sign * s
+        p = p_value(r, n)
+        assert 0.0 <= p <= 1.0
+        assert f"{p:.3f}" != "-0.000"
+        assert abs(p - regularized_incomplete_beta((n - 2) / 2.0, 0.5, 1.0 - r * r)) <= 5e-11
+
 
 def make_signals(rl, rc=1.0, prt_fn=2.0, prt_et=60.0):
     return TeamSignals(rl=rl, rc=rc, prt_fn=prt_fn, prt_et=prt_et, n_actors=4, n_closed_frames=5)
@@ -160,9 +197,7 @@ def skipped_cells(record) -> list[tuple[str, str, str]]:
 class TestCorrelate:
     def test_full_overlap(self):
         signals = {f"t{i}": make_signals(rl=float(i), rc=float(i % 3)) for i in range(10)}
-        depvars = DependentVariableTable(
-            {(f"t{i}", "creativity"): 2.0 * i + 1.0 for i in range(10)}
-        )
+        depvars = {(f"t{i}", "creativity"): 2.0 * i + 1.0 for i in range(10)}
         with pytest.warns(UserWarning) as record:
             cells = correlate(signals, depvars)
         # PRT columns are constant -> degenerate, skipped
@@ -188,9 +223,7 @@ class TestCorrelate:
                 rl=float(i), rc=float(i % 3), prt_fn=2.0 + i, prt_et=60.0 + i,
                 n_actors=4, n_closed_frames=5,
             )
-        depvars = DependentVariableTable(
-            {(f"t{i}", "quality"): float(i * i) for i in range(10)}
-        )
+        depvars = {(f"t{i}", "quality"): float(i * i) for i in range(10)}
         cells = {c.signal_name: c for c in correlate(signals, depvars)}
         assert cells["RL"].n == 10
         assert cells["PRT_FN"].n == 9
@@ -198,7 +231,7 @@ class TestCorrelate:
 
     def test_insufficient_teams(self):
         signals = {f"t{i}": make_signals(rl=float(i)) for i in range(2)}
-        depvars = DependentVariableTable({(f"t{i}", "x"): float(i) for i in range(2)})
+        depvars = {(f"t{i}", "x"): float(i) for i in range(2)}
         with pytest.warns(UserWarning) as record:
             with pytest.raises(NoOverlapError):
                 correlate(signals, depvars)
@@ -208,9 +241,7 @@ class TestCorrelate:
 
     def test_warning_for_skipped_cells(self):
         signals = {f"t{i}": make_signals(rl=float(i), rc=float(3 - i)) for i in range(4)}
-        depvars = DependentVariableTable(
-            {(f"t{i}", "y"): float(i) for i in range(4)} | {("t0", "rare"): 1.0}
-        )
+        depvars = {(f"t{i}", "y"): float(i) for i in range(4)} | {("t0", "rare"): 1.0}
         with pytest.warns(UserWarning) as record:
             cells = correlate(signals, depvars)
         assert skipped_cells(record) == [
@@ -220,7 +251,7 @@ class TestCorrelate:
 
     def test_no_shared_teams(self):
         signals = {"t1": make_signals(1.0), "t2": make_signals(2.0), "t3": make_signals(3.0)}
-        depvars = DependentVariableTable({("other", "x"): 1.0})
+        depvars = {("other", "x"): 1.0}
         with pytest.warns(UserWarning):
             with pytest.raises(NoOverlapError):
                 correlate(signals, depvars)

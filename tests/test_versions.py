@@ -5,8 +5,8 @@ tests and under each other version from 3.10 to 3.13 that is installed
 (pyenv's versions directory or PATH); every output file, stdout, stderr and
 exit code must match byte for byte. The CLI rounds what it prints, so a
 last-bit difference rarely shows there; FLOATS prints the sums behind
-pearson_r and PRT, and betweenness scores, in full. A version that is not
-installed is skipped by name.
+pearson_r and PRT, p_value's series, and betweenness scores, in full. A
+version that is not installed is skipped by name.
 """
 
 import os
@@ -46,13 +46,14 @@ COMMANDS = [
     ["metrics", "--events", "events.csv", "--teams", "dup_teams.csv", *WINDOW, "--out", "d"],
 ]
 
-# floats printed in full: pearson_r and the PRT mean on seeded random samples,
-# and betweenness on seeded random graphs and on a layered graph with more
-# than 2**53 shortest paths, whose counts mix floats and ints
+# floats printed in full: pearson_r, its p_value (n from 3 to 30, so both
+# parities of n - 2) and the PRT mean on seeded random samples, and
+# betweenness on seeded random graphs and on a layered graph with more than
+# 2**53 shortest paths, whose counts mix floats and ints
 FLOATS = """
 import random
 from teamsignals.signals import _weighted_mean
-from teamsignals.stats import pearson_r
+from teamsignals.stats import p_value, pearson_r
 from teamsignals.windows import brandes_betweenness
 from tests.graphs import layered_graph, random_graph
 rng = random.Random(3)
@@ -62,7 +63,8 @@ for _ in range(200):
     y = [rng.random() for _ in range(n)]
     rcf = {i: v * 1e4 for i, v in enumerate(x)}
     weight = {i: 1 + int(v * 50) for i, v in enumerate(y)}
-    print(repr(pearson_r(x, y)), repr(_weighted_mean(rcf, weight)))
+    r = pearson_r(x, y)
+    print(repr(r), repr(p_value(r, n)), repr(_weighted_mean(rcf, weight)))
 for _ in range(50):
     n = 2 + int(rng.random() * 39)
     print(repr(brandes_betweenness(random_graph(rng, n, 0.03 + rng.random() * 0.3))))
