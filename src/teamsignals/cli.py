@@ -3,7 +3,9 @@
 Subcommands: validate, metrics, series, surface, correlate, synth. All
 numeric output uses fixed decimals and rows are sorted, so repeated runs
 over the same inputs are byte-identical regardless of --jobs. Exit codes:
-0 success, 1 internal error, 2 user/input error.
+0 success, 1 internal error, 2 user/input error. A command checks its
+options and reads its small files (--teams, --depvars) before the events
+file, so a bad one fails without a parse of the whole log.
 
 A command warns with a UserWarning and fails with an exception; only main
 writes stderr: a `warning: ...` line per warning, in the order raised,
@@ -96,7 +98,7 @@ def cmd_validate(args) -> int:
     cleaned = _load_log(args)
     log = cleaned.log
     print(f"events: {len(log)}")
-    print(f"actors: {len(log.actors())}")
+    print(f"actors: {len(log.names)}")
     print(f"range: {format_timestamp(log.t_start)} .. {format_timestamp(log.t_end)}")
     print(f"dropped self-loops: {cleaned.dropped_self_loops}")
     print(f"collapsed duplicates: {cleaned.collapsed_duplicates}")
@@ -131,9 +133,9 @@ def _compute_all_signals(
 
 def cmd_metrics(args) -> int:
     _check_jobs(args)
-    log = _load_log(args).log
     teams = _load_teams(args)
     cfg = _window_config(args)
+    log = _load_log(args).log
     signals, n_events, skipped = _compute_all_signals(log, teams, cfg, args.jobs)
     for team_id in skipped:
         warnings.warn(f"team {team_id!r} has no events, row skipped")
@@ -152,12 +154,14 @@ def cmd_metrics(args) -> int:
 
 
 def _team_series(args):
-    log = _load_log(args).log
-    if args.teams:
-        log = restrict_to_team(log, _pick_team(parse_teams(args.teams), args.team))
-    elif args.team:
+    if args.team and not args.teams:
         raise ConfigError("--team requires --teams")
-    return sorted(log.actors()), series(log, _window_config(args), args.metric)
+    team = _pick_team(parse_teams(args.teams), args.team) if args.teams else None
+    cfg = _window_config(args)
+    log = _load_log(args).log
+    if team is not None:
+        log = restrict_to_team(log, team)
+    return list(log.names), series(log, cfg, args.metric)
 
 
 def cmd_series(args) -> int:
@@ -186,10 +190,10 @@ def cmd_correlate(args) -> int:
     if not args.depvars:
         raise ConfigError("correlate requires --depvars")
     _check_jobs(args)
-    log = _load_log(args).log
     teams = _load_teams(args)
     cfg = _window_config(args)
     depvars = parse_dependent_variables(args.depvars)
+    log = _load_log(args).log
     signals, _, skipped = _compute_all_signals(log, teams, cfg, args.jobs)
     for team_id in skipped:
         warnings.warn(f"team {team_id!r} has no events, excluded")
@@ -218,7 +222,7 @@ def cmd_synth(args) -> int:
     for team_id, scenario in entries:
         log = generate(scenario, actor_prefix=f"{team_id}.")
         all_events.extend(log.events)
-        rosters.extend((team_id, actor) for actor in sorted(log.actors()))
+        rosters.extend((team_id, actor) for actor in log.names)
     merged = validate_log(all_events).log
     _write_csv(
         out_dir / "events.csv",

@@ -15,8 +15,9 @@ from the first row and then enforced for the whole file, since mixed per-row
 formats usually indicate corruption.
 Every timestamp must lie in model.MIN_TIMESTAMP..MAX_TIMESTAMP, the range
 format_timestamp renders. Each events reader yields (line, stamp text,
-sender, recipients) rows, and one loop turns the rows of either format into
-events; each parse holds one string object per actor.
+sender, recipients) rows, and one loop appends each event of either format
+to three columns (model.EventColumns): its stamp, and its sender's and
+recipient's ids from one table of raw tokens.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import json
 import re
 import sys
 import warnings
+from array import array
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
-from .model import MAX_TIMESTAMP, MIN_TIMESTAMP, ActorId, InteractionEvent, Team, normalize_actor
+from .model import MAX_TIMESTAMP, MIN_TIMESTAMP, ActorId, EventColumns, Team, normalize_actor
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -109,18 +111,20 @@ def _timestamp_parser(sample: str):
     return _parse_epoch
 
 
-def _new_actor(actors: dict[str, ActorId], raw: str, path, line: int) -> ActorId:
-    """Normalize a raw token not yet in actors, the file's token -> actor cache.
+def _new_actor(ids: dict[str, int], names: list[ActorId], raw: str, path, line: int) -> int:
+    """The id of a raw token not yet in ids, the file's one table of actor ids.
 
-    The normalized form is interned, so " A " and "a" map to the same object
-    and a parsed file holds one string per actor, not one per row. Callers
-    look tokens up first with ``actors.get(raw) or _new_actor(...)``.
+    ids maps raw tokens and normalized names alike (a name normalizes to
+    itself), so " A " and "a" get one id; names[id] is the interned name, so
+    a parsed file holds one string per actor. Callers look in ids first.
     """
     try:
-        actor = sys.intern(normalize_actor(raw))
+        name = sys.intern(normalize_actor(raw))
     except ValueError as exc:
         raise ParseError(path, line, str(exc)) from None
-    actors[raw] = actor
+    actor = ids[raw] = ids.setdefault(name, len(names))
+    if actor == len(names):
+        names.append(name)
     return actor
 
 
@@ -152,8 +156,8 @@ def _csv_rows(path: Path, columns: list[str]):
         raise ParseError(path, None, f"not UTF-8 text ({exc.reason})") from None
 
 
-def parse_events(path, fmt: str | None = None) -> list[InteractionEvent]:
-    """Read raw events from a csv or jsonl file, in file order.
+def parse_events(path, fmt: str | None = None) -> EventColumns:
+    """Read raw events from a csv or jsonl file, as columns in file order.
 
     ``fmt`` is "csv" or "jsonl"; when omitted it is inferred from the file
     suffix. A row with k recipients expands to k events sharing sender and
@@ -170,13 +174,13 @@ def parse_events(path, fmt: str | None = None) -> list[InteractionEvent]:
     raise ParseError(path, None, f"unknown events format {fmt!r}")
 
 
-def _events(rows, path) -> list[InteractionEvent]:
+def _events(rows, path) -> EventColumns:
     """One event per recipient of each (line, stamp text, sender, recipients) row."""
-    events: list[InteractionEvent] = []
-    append = events.append
+    stamps, senders, recipients = array("q"), array("i"), array("i")
     parse_ts = None
-    actors: dict[str, ActorId] = {}
-    for line, ts_text, sender_text, recipient_texts in rows:
+    ids: dict[str, int] = {}
+    names: list[ActorId] = []
+    for line, ts_text, sender, recipient_texts in rows:
         if parse_ts is None:
             parse_ts = _timestamp_parser(ts_text)
         try:
@@ -188,10 +192,12 @@ def _events(rows, path) -> list[InteractionEvent]:
                 path, line,
                 f"timestamp {_echo(ts_text)} outside 0001-01-01T00:00:00Z..9999-12-31T23:59:59Z",
             )
-        sender = actors.get(sender_text) or _new_actor(actors, sender_text, path, line)
+        s = ids[sender] if sender in ids else _new_actor(ids, names, sender, path, line)
         for r in recipient_texts:
-            append(InteractionEvent(sender, actors.get(r) or _new_actor(actors, r, path, line), ts))
-    return events
+            stamps.append(ts)
+            senders.append(s)
+            recipients.append(ids[r] if r in ids else _new_actor(ids, names, r, path, line))
+    return EventColumns(tuple(names), stamps, senders, recipients)
 
 
 def _csv_event_rows(path: Path):
@@ -247,12 +253,13 @@ def parse_teams(path) -> list[Team]:
     """
     path = Path(path)
     members: dict[str, set[ActorId]] = {}
-    actors: dict[str, ActorId] = {}
+    ids: dict[str, int] = {}
+    names: list[ActorId] = []
     for line, row in _csv_rows(path, ["team_id", "member"]):
         team_id = row[0].strip()
         if not team_id:
             raise ParseError(path, line, "empty team_id")
-        member = actors.get(row[1]) or _new_actor(actors, row[1], path, line)
+        member = names[ids[row[1]] if row[1] in ids else _new_actor(ids, names, row[1], path, line)]
         roster = members.setdefault(team_id, set())
         if member in roster:
             warnings.warn(f"{path}:{line}: duplicate member {member!r} in team {team_id!r}")

@@ -2,14 +2,16 @@
 
 Everything here is immutable after construction; the operations are pure
 functions, so values can be shared freely across threads or processes.
-Timestamps are kept as integer epoch seconds (UTC) throughout.
+Timestamps are kept as integer epoch seconds (UTC) throughout. Events are
+kept in columns, not as objects: see EventColumns.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 ActorId = str
 
@@ -48,21 +50,43 @@ class InteractionEvent:
     timestamp: int
 
 
+class EventColumns(NamedTuple):
+    """parse_events' output: its events in file order, as columns.
+
+    Row i is names[senders[i]] -> names[recipients[i]] at stamps[i]; names
+    are in order of first appearance.
+    """
+
+    names: tuple[ActorId, ...]
+    stamps: array  # "q"
+    senders: array  # "i"
+    recipients: array  # "i"
+
+
 @dataclass(frozen=True)
 class EventLog:
-    """Sorted, validated event sequence with its closed time range."""
+    """validate_log's columns, as in EventColumns, with their closed time range.
 
-    events: tuple[InteractionEvent, ...]
+    names are sorted, and each is in a row; rows are sorted by (timestamp,
+    sender, recipient), with no self-loop or duplicate. An InteractionEvent
+    is made only when .events is read.
+    """
+
+    names: tuple[ActorId, ...]
+    stamps: array  # "q"
+    senders: array  # "i"
+    recipients: array  # "i"
     t_start: int
     t_end: int
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.stamps)
 
-    def actors(self) -> frozenset[ActorId]:
-        """All actors appearing as sender or recipient."""
-        senders = frozenset(map(attrgetter("sender"), self.events))
-        return senders.union(map(attrgetter("recipient"), self.events))
+    @cached_property
+    def events(self) -> tuple[InteractionEvent, ...]:
+        names = self.names
+        return tuple(InteractionEvent(names[s], names[r], t)
+                     for t, s, r in zip(self.stamps, self.senders, self.recipients))
 
 
 @dataclass(frozen=True)
@@ -86,37 +110,59 @@ class CleanedLog:
     collapsed_duplicates: int
 
 
-def validate_log(raw_events) -> CleanedLog:
-    """Sort, deduplicate and range-stamp raw events.
+def _columns_of(events: Iterable[InteractionEvent]) -> EventColumns:
+    ids: dict[ActorId, int] = {}
+    stamps, senders, recipients = array("q"), array("i"), array("i")
+    for e in events:
+        stamps.append(e.timestamp)
+        senders.append(ids.setdefault(e.sender, len(ids)))
+        recipients.append(ids.setdefault(e.recipient, len(ids)))
+    return EventColumns(tuple(ids), stamps, senders, recipients)
 
-    Self-loops are dropped; exact duplicates (same sender, recipient and
-    timestamp) collapse to one event. The result is totally ordered, so any
-    permutation of the input yields the same log.
-    Raises EmptyLogError if nothing survives cleaning.
+
+def validate_log(raw: EventColumns | EventLog | Iterable[InteractionEvent]) -> CleanedLog:
+    """Sort, deduplicate and range-stamp parse_events' columns, or InteractionEvents.
+
+    Self-loops are dropped, with any actor seen only in them; exact
+    duplicates (same sender, recipient and timestamp) collapse to one
+    event. With the n actors left ranked by name, rows sort by the integer
+    ((t - t_min) * n + sender rank) * n + recipient rank, so any permutation
+    of the input yields the same log. Raises EmptyLogError if nothing
+    survives cleaning.
     """
-    key = attrgetter("timestamp", "sender", "recipient")
-    deduped: list[InteractionEvent] = []
-    dropped = collapsed = 0
-    prev = None
-    for e in sorted(raw_events, key=key):
-        if e.sender == e.recipient:
-            dropped += 1
-            continue
-        k = key(e)
-        if k == prev:
-            collapsed += 1
-            continue
-        deduped.append(e)
-        prev = k
-
-    if not deduped:
+    if not isinstance(raw, (EventColumns, EventLog)):
+        raw = _columns_of(raw)
+    names, stamps, senders, recipients = raw.names, raw.stamps, raw.senders, raw.recipients
+    kept = bytearray(len(names))  # 1 for an actor of an event that is not a self-loop
+    for s, r in zip(senders, recipients):
+        if s != r:
+            kept[s] = kept[r] = 1
+    rank = array("i", [0]) * len(names)  # a kept actor's place in name order, by raw id
+    actors: list[ActorId] = []
+    for i in sorted(filter(kept.__getitem__, range(len(names))), key=names.__getitem__):
+        rank[i] = len(actors)
+        actors.append(names[i])
+    if not actors:
         raise EmptyLogError("empty log after cleaning")
-    log = EventLog(
-        events=tuple(deduped),
-        t_start=deduped[0].timestamp,
-        t_end=deduped[-1].timestamp,
-    )
-    return CleanedLog(log=log, dropped_self_loops=dropped, collapsed_duplicates=collapsed)
+    n = len(actors)
+    t_min = min(stamps)
+    keys = [((t - t_min) * n + rank[s]) * n + rank[r]
+            for t, s, r in zip(stamps, senders, recipients) if s != r]
+    keys.sort()
+    out_stamps, out_senders, out_recipients = array("q"), array("i"), array("i")
+    add_stamp, add_sender = out_stamps.append, out_senders.append
+    add_recipient = out_recipients.append
+    nn = n * n
+    prev = -1
+    for key in keys:
+        if key != prev:  # equal keys are duplicate events
+            add_stamp(key // nn + t_min)
+            add_sender(key // n % n)
+            add_recipient(key % n)
+            prev = key
+    log = EventLog(tuple(actors), out_stamps, out_senders, out_recipients,
+                   out_stamps[0], out_stamps[-1])
+    return CleanedLog(log, len(stamps) - len(keys), len(keys) - len(out_stamps))
 
 
 def restrict_to_team(log: EventLog, team: Team) -> EventLog:
@@ -137,32 +183,43 @@ def partition_by_team(
     recipient. A team with an empty member set gets the log unchanged.
     Returns the team logs keyed by team_id, in the order of ``teams``, and
     the ids of teams left with no events, which get no log. Every team log
-    keeps the full log's range.
+    keeps the full log's range and numbers its own actors in name order.
     """
-    member_of: dict[ActorId, tuple[int, ...]] = {}
+    teams_of: dict[ActorId, tuple[int, ...]] = {}
     for i, team in enumerate(teams):
         only = (i,)  # shared by every actor in this team alone
         for actor in team.members:
-            prior = member_of.get(actor)
-            member_of[actor] = only if prior is None else prior + only
-    kept: list[list[InteractionEvent]] = [[] for _ in teams]
-    for e in log.events:
-        senders = member_of.get(e.sender)
-        if senders is None:
+            prior = teams_of.get(actor)
+            teams_of[actor] = only if prior is None else prior + only
+    names, stamps, senders, recipients = log.names, log.stamps, log.senders, log.recipients
+    member_of = list(map(teams_of.get, names))  # by actor id; None for an actor in no team
+    del teams_of  # before the team logs are built, as the dict holds every member
+    rows = [array("i") for _ in teams]  # each team's row numbers
+    for row, (u, v) in enumerate(zip(senders, recipients)):
+        in_u = member_of[u]
+        if in_u is None:
             continue
-        recipients = member_of.get(e.recipient)
-        if recipients is None:
+        in_v = member_of[v]
+        if in_v is None:
             continue
-        for i in senders:
-            if i in recipients:
-                kept[i].append(e)
+        for i in in_u:
+            if i in in_v:
+                rows[i].append(row)
     team_logs: dict[str, EventLog] = {}
     skipped: list[str] = []
-    for team, events in zip(teams, kept):
+    for team, kept in zip(teams, rows):
         if not team.members:
             team_logs[team.team_id] = log
-        elif events:
-            team_logs[team.team_id] = EventLog(tuple(events), log.t_start, log.t_end)
-        else:
+        elif not kept:
             skipped.append(team.team_id)
+        else:  # the kept rows, over their own actors renumbered in name order
+            us = [senders[i] for i in kept]
+            vs = [recipients[i] for i in kept]
+            ids = sorted({*us, *vs})  # ids are in name order
+            local = {a: k for k, a in enumerate(ids)}
+            team_logs[team.team_id] = EventLog(
+                tuple([names[a] for a in ids]), array("q", [stamps[i] for i in kept]),
+                array("i", [local[a] for a in us]), array("i", [local[a] for a in vs]),
+                log.t_start, log.t_end,
+            )
     return team_logs, skipped

@@ -9,10 +9,10 @@ of messages from one actor of a pair to the other, up to the other's reply:
 the reply closes it, as its last event, and opens the next frame in the
 opposite direction. Every signal is computed from a team log, the events
 model.restrict_to_team or model.partition_by_team kept for a roster, over
-that log's own actors. team_signals gets all of them from one decode of the
-team's events into int columns; PRT is one pass over them with integer
-state, and each window step judges RL and RC only for the actors its events
-moved (RL for every actor when betweenness changed).
+that log's own actors. team_signals gets all of them from the team log's
+int columns as they are: PRT is one pass over them with integer state, and
+each window step judges RL and RC only for the actors its events moved (RL
+for every actor when betweenness changed).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .model import EventLog
-from .windows import Columns, WindowConfig, _columns, _window_rows
+from .windows import WindowConfig, _window_rows
 
 ResponseVariant = Literal["et", "fn"]
 
@@ -111,18 +111,18 @@ def _sum_left(values: Iterable[float]) -> float:
     return total
 
 
-def _response_sums(columns: Columns, n: int) -> tuple[dict, dict, Counter, int]:
-    """RCF "et" and "fn" by actor index, event weights and closed frames, in one pass.
+def _response_sums(log: EventLog) -> tuple[dict, dict, Counter, int]:
+    """RCF "et" and "fn" by actor id, event weights and closed frames, in one pass.
 
-    columns and its n actors are windows._columns(log). Per pair key
-    u * n + v (u < v) the pass keeps the open frame's sender, first stamp
-    and event count; per responder, integer sums. The RCF dicts are in
+    With n the number of the log's actors, per pair key u * n + v (u < v)
+    the pass keeps the open frame's sender, first stamp and event count; per
+    responder, integer sums. The RCF dicts are in
     _weighted_mean's float order: each responder's first closed frame by
     (pair key, time), as a pair-by-pair segmentation meets them. An integer
     sum equals a float sum of its terms while below 2**53.
     """
-    stamps, us, vs = columns
-    m = len(stamps)
+    stamps, us, vs = log.stamps, log.senders, log.recipients
+    n, m = len(log.names), len(stamps)
     elapsed, events, frames = [0] * n, [0] * n, [0] * n
     first = [0] * n  # pair key * m + event number of each responder's first closed frame
     # pair key -> (sender, first stamp, events); tuples, as lists take a third more memory
@@ -167,8 +167,7 @@ def prompt_response_time(log: EventLog, variant: ResponseVariant) -> float | Non
     """
     if variant not in ("et", "fn"):
         raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
-    actors, columns = _columns(log)
-    rcf_et, rcf_fn, weight, _ = _response_sums(columns, len(actors))
+    rcf_et, rcf_fn, weight, _ = _response_sums(log)
     return _weighted_mean(rcf_et if variant == "et" else rcf_fn, weight)
 
 
@@ -176,19 +175,17 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     """Full per-team signal computation: RL, RC and both PRT variants.
 
     team_log holds one team's events: the whole log, or the result of
-    model.restrict_to_team / model.partition_by_team for a roster. Its
-    events are decoded once, into int columns. One pass over them gives
-    both PRT variants and the closed-frame count, and drops its per-pair
-    state before the grid pass, whose window rows feed the RL and RC
-    extrema counters as they are made: only the current window is held, and
-    only the actors it moved are judged.
+    model.restrict_to_team / model.partition_by_team for a roster. One pass
+    over its int columns gives both PRT variants and the closed-frame
+    count, and drops its per-pair state before the grid pass, whose window
+    rows feed the RL and RC extrema counters as they are made: only the
+    current window is held, and only the actors it moved are judged.
     """
-    actors, columns = _columns(team_log)
-    n = len(actors)
-    rcf_et, rcf_fn, weight, n_closed = _response_sums(columns, n)
+    n = len(team_log.names)
+    rcf_et, rcf_fn, weight, n_closed = _response_sums(team_log)
     rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
     scores = None
-    for _end, presence, bc_row, ci_row, moved in _window_rows(team_log, cfg, columns, n, True):
+    for _end, presence, bc_row, ci_row, moved in _window_rows(team_log, cfg, True):
         if moved:  # only moved actors change, and every score when the bc row is new
             rl.feed(bc_row, presence, moved if bc_row is scores else None)
             rc.feed(ci_row, presence, moved)

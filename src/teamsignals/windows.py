@@ -9,10 +9,12 @@ step (``--window 1h --step 1h``), an event stamped at t_start lies in no
 window.
 
 Every function here takes a team log (model.restrict_to_team or
-model.partition_by_team applies a roster) and numbers that log's own
-actors in sorted order. Per-window metrics are betweenness centrality
-(directed, unweighted, unnormalized; multi-edges collapse to simple edges)
-and the contribution index (sent - received) / (sent + received).
+model.partition_by_team applies a roster) and reads its columns as they
+are: the log's actors are numbered in sorted order, and the window pass
+reads each row's stamp and sender and recipient ids with no decoding.
+Per-window metrics are betweenness centrality (directed, unweighted,
+unnormalized; multi-edges collapse to simple edges) and the contribution
+index (sent - received) / (sent + received).
 
 Every window's betweenness scores are snapped to the nearest multiple of
 1e-9 (_snapped_betweenness). The kernel's summation order follows the
@@ -35,7 +37,6 @@ scratch, one GraphSnapshot each.
 from __future__ import annotations
 
 import re
-from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
@@ -43,7 +44,6 @@ from typing import Iterator, Literal, Sequence
 from .model import MAX_TIMESTAMP, ActorId, EventLog
 
 Metric = Literal["bc", "ci"]
-Columns = tuple[list[int], Sequence[int], Sequence[int]]  # (stamps, us, vs); see _columns
 
 
 class ConfigError(ValueError):
@@ -112,15 +112,15 @@ def _grid(log: EventLog, cfg: WindowConfig) -> range:
 
 def build_snapshots(log: EventLog, cfg: WindowConfig) -> list[GraphSnapshot]:
     """One GraphSnapshot per grid window, with edge multiplicities."""
-    nodes = log.actors()
-    stamps = [e.timestamp for e in log.events]
+    names = log.names
+    nodes = frozenset(names)
     snapshots = []
     for end in _grid(log, cfg):
-        lo = bisect_right(stamps, end - cfg.window_size)
-        hi = bisect_right(stamps, end)
+        lo = bisect_right(log.stamps, end - cfg.window_size)
+        hi = bisect_right(log.stamps, end)
         edges: dict[tuple[ActorId, ActorId], int] = {}
-        for e in log.events[lo:hi]:
-            key = (e.sender, e.recipient)
+        for u, v in zip(log.senders[lo:hi], log.recipients[lo:hi]):
+            key = (names[u], names[v])
             edges[key] = edges.get(key, 0) + 1
         snapshots.append(GraphSnapshot(window_end=end, nodes=nodes, edges=edges))
     return snapshots
@@ -235,50 +235,37 @@ def series(
 ) -> Iterator[tuple[int, list[bool], list[float]]]:
     """Yield _window_rows' (end, presence, values) rows of one metric for a team log.
 
-    Rows are indexed like the log's actors in sorted order and must not be
-    modified. presence[i] is True iff actor i sent or received in the
-    window; values are 0 where it is False. An unknown metric or a grid
+    Rows are indexed like log.names, the log's actors in sorted order, and
+    must not be modified. presence[i] is True iff actor i sent or received
+    in the window; values are 0 where it is False. An unknown metric or a grid
     past model.MAX_TIMESTAMP raises ConfigError at the call, before any row.
     """
     if metric not in ("bc", "ci"):
         raise ConfigError(f"unknown metric {metric!r} (expected 'bc' or 'ci')")
     _grid(log, cfg)  # its ConfigError, now rather than at the first row
-    actors, columns = _columns(log)
-    rows = _window_rows(log, cfg, columns, len(actors), metric == "bc")
+    rows = _window_rows(log, cfg, metric == "bc")
     if metric == "bc":
         return ((end, presence, bc) for end, presence, bc, _ci, _moved in rows)
     return ((end, presence, ci) for end, presence, _bc, ci, _moved in rows)
 
 
-def _columns(log: EventLog) -> tuple[list[ActorId], Columns]:
-    """The log's actors, sorted, and its events in log order as ints indexing them."""
-    actors = sorted(log.actors())
-    index = {a: i for i, a in enumerate(actors)}
-    stamps, us, vs = [], array("i"), array("i")  # 4-byte ints: held at team_signals' memory peak
-    for e in log.events:
-        stamps.append(e.timestamp)
-        us.append(index[e.sender])
-        vs.append(index[e.recipient])
-    return actors, (stamps, us, vs)
-
-
 def _window_rows(
-    log: EventLog, cfg: WindowConfig, columns: Columns, n: int, want_bc: bool
+    log: EventLog, cfg: WindowConfig, want_bc: bool
 ) -> Iterator[tuple[int, list[bool], list[float], list[float], set[int]]]:
-    """Yield (end, presence, bc, ci, moved) rows, indexed like the actors, per grid window.
+    """Yield (end, presence, bc, ci, moved) rows, indexed like log.names, per grid window.
 
-    columns and its n actors are _columns(log). Each
-    event enters and leaves the window state once: an edge multiset keyed
-    u * n + v and sent and received counts, which give presence and the
-    contribution index. Only the actors of the events that entered or left,
-    moved, can differ from the previous row: a copy of it gets theirs. Only
-    changed edges touch the sorted successor lists (betweenness(snapshot)'s
-    adjacency) before betweenness is recomputed. An unchanged row, or
-    recomputed scores equal to the last ones, is yielded again as the same
-    object. With want_bc False the bc row stays zero. Callers must not
-    modify rows.
+    Each event enters and leaves the window state once: an edge multiset
+    keyed u * n + v and sent and received counts, which give presence and
+    the contribution index. Only the actors of the events that entered or
+    left, moved, can differ from the previous row: a copy of it gets
+    theirs. Only changed edges touch the sorted successor lists
+    (betweenness(snapshot)'s adjacency) before betweenness is recomputed.
+    An unchanged row, or recomputed scores equal to the last ones, is
+    yielded again as the same object. With want_bc False the bc row stays
+    zero. Callers must not modify rows.
     """
-    stamps, us, vs = columns
+    stamps, us, vs = log.stamps, log.senders, log.recipients
+    n = len(log.names)
     edges: dict[int, int] = {}  # u * n + v -> events in the window
     sent = [0] * n
     received = [0] * n

@@ -6,7 +6,11 @@ counts and no depth-1 skip, and by that loop in exact rationals; extrema
 by a groupby scan, frame counts by direction-reversal counting; PRT from
 the list of per-pair frames that segment_frames builds one
 CommunicationFrame at a time; a team log by a plain filter over the
-events.
+events. validate_events and partition_events are the object-based
+validate_log and partition_by_team the columnar ones replaced: a sort of
+InteractionEvents by (timestamp, sender, recipient) and a per-event roster
+lookup. event_log builds an EventLog from events as given, with no
+cleaning.
 
 The package's views that no command runs live here too: window_ends,
 contribution_index and count_extrema, each a direct use of the package's
@@ -18,13 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
-from teamsignals.model import ActorId, EmptyLogError, EventLog, Team
+from teamsignals.model import ActorId, EmptyLogError, EventLog, InteractionEvent, Team
 from teamsignals.signals import _ExtremaCounter
 from teamsignals.windows import WindowConfig, _grid
 
@@ -286,6 +292,83 @@ def prt_from_frames(log, variant: str):
     return num / sum(weight[a] for a in samples)
 
 
+def event_log(events, t_start: int, t_end: int) -> EventLog:
+    """An EventLog of InteractionEvents in the order given, self-loops and duplicates kept.
+
+    Its names are the events' actors, sorted; nothing is sorted or dropped.
+    """
+    events = list(events)
+    names = tuple(sorted({a for e in events for a in (e.sender, e.recipient)}))
+    index = {a: i for i, a in enumerate(names)}
+    return EventLog(
+        names,
+        array("q", [e.timestamp for e in events]),
+        array("i", [index[e.sender] for e in events]),
+        array("i", [index[e.recipient] for e in events]),
+        t_start,
+        t_end,
+    )
+
+
+def validate_events(raw_events) -> tuple[tuple[InteractionEvent, ...], int, int]:
+    """validate_log's object-based form: the clean events, self-loops dropped, duplicates collapsed.
+
+    Sorts InteractionEvents by (timestamp, sender, recipient), drops
+    self-loops and keeps the first of equal events. Nothing surviving is not
+    an error here.
+    """
+    key = attrgetter("timestamp", "sender", "recipient")
+    deduped: list[InteractionEvent] = []
+    dropped = collapsed = 0
+    prev = None
+    for e in sorted(raw_events, key=key):
+        if e.sender == e.recipient:
+            dropped += 1
+            continue
+        k = key(e)
+        if k == prev:
+            collapsed += 1
+            continue
+        deduped.append(e)
+        prev = k
+    return tuple(deduped), dropped, collapsed
+
+
+def partition_events(events, teams) -> tuple[dict[str, tuple[InteractionEvent, ...]], list[str]]:
+    """partition_by_team over a clean log's events, one roster lookup per event.
+
+    Returns each team's events by team_id, in the order of teams (every
+    event for an empty roster), and the ids of the teams left with none.
+    """
+    member_of: dict[ActorId, tuple[int, ...]] = {}
+    for i, team in enumerate(teams):
+        only = (i,)  # shared by every actor in this team alone
+        for actor in team.members:
+            prior = member_of.get(actor)
+            member_of[actor] = only if prior is None else prior + only
+    kept: list[list[InteractionEvent]] = [[] for _ in teams]
+    for e in events:
+        senders = member_of.get(e.sender)
+        if senders is None:
+            continue
+        recipients = member_of.get(e.recipient)
+        if recipients is None:
+            continue
+        for i in senders:
+            if i in recipients:
+                kept[i].append(e)
+    team_events: dict[str, tuple[InteractionEvent, ...]] = {}
+    skipped: list[str] = []
+    for team, mine in zip(teams, kept):
+        if not team.members:
+            team_events[team.team_id] = tuple(events)
+        elif mine:
+            team_events[team.team_id] = tuple(mine)
+        else:
+            skipped.append(team.team_id)
+    return team_events, skipped
+
+
 def restrict_to_team(log: EventLog, team: Team) -> EventLog:
     """Keep only events whose sender AND recipient are team members.
 
@@ -294,12 +377,10 @@ def restrict_to_team(log: EventLog, team: Team) -> EventLog:
     """
     if not team.members:
         return log
-    kept = tuple(
-        e for e in log.events if e.sender in team.members and e.recipient in team.members
-    )
+    kept = [e for e in log.events if e.sender in team.members and e.recipient in team.members]
     if not kept:
         raise EmptyLogError(f"empty team log for team {team.team_id!r}")
-    return EventLog(events=kept, t_start=log.t_start, t_end=log.t_end)
+    return event_log(kept, log.t_start, log.t_end)
 
 
 def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:

@@ -15,7 +15,7 @@ from importlib.resources import files
 import numpy as np
 
 from teamsignals.cli import main
-from teamsignals.model import EventLog, validate_log
+from teamsignals.model import validate_log
 from teamsignals.signals import prompt_response_time, rotating_signal
 from teamsignals.stats import p_value
 from teamsignals.synth import ReplyDelay, SynthScenario, generate
@@ -226,7 +226,7 @@ def test_synthetic_discrimination():
             # the range starts half an exchange gap before the first ping at
             # 0, so the left-open window edge never slices an exchange in two
             log = generate(scenario)
-            log = EventLog(log.events, -(rotating.exchange_gap // 2), log.t_end)
+            log = replace(log, t_start=-(rotating.exchange_gap // 2))
             scores[name] = (
                 rotating_signal(series(log, cfg, "bc")),
                 rotating_signal(series(log, cfg, "ci")),

@@ -1,10 +1,11 @@
 import concurrent.futures
 import json
+import random
 import warnings
 
 import pytest
 
-from teamsignals import cli
+from teamsignals import cli, model
 from teamsignals.cli import main
 from teamsignals.ingest import parse_events
 from teamsignals.model import validate_log
@@ -186,6 +187,18 @@ class TestStderr:
             "error: cannot parse duration 'soon' (use e.g. 45s, 90m, 12h, 7d)\n"
         )
 
+    @pytest.mark.parametrize("command", ["metrics", "correlate", "series", "surface"])
+    def test_a_bad_window_fails_before_the_events_file_is_read(self, tmp_path, capsys, command):
+        events = write(tmp_path, "events.csv", EVENTS_HEADER + "100,a,b\nbogus,a,b\n")
+        depvars = write(tmp_path, "depvars.csv", "team_id,variable_name,value\nALL,perf,1\n")
+        extra = ["--depvars", str(depvars)] if command == "correlate" else []
+        rc = main([command, "--events", str(events), "--window", "soon", *extra,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse duration 'soon' (use e.g. 45s, 90m, 12h, 7d)\n"
+        )
+
     def test_other_warning_categories_are_not_warning_lines(self, tmp_path, capsys, monkeypatch):
         def deprecated_validate_log(events):
             warnings.warn("an old call", DeprecationWarning)
@@ -196,6 +209,37 @@ class TestStderr:
         with pytest.warns(DeprecationWarning, match="an old call"):  # passed on, not swallowed
             assert main(["validate", "--events", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestNoEventObjects:
+    def test_no_command_builds_an_interaction_event(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(7)
+        events = write(tmp_path, "events.csv", EVENTS_HEADER + "".join(
+            f"{i * 300},{a},{b}\n" for i, (a, b) in
+            enumerate(rng.sample(["u0", "u1", "u2", "u3", "u4"], 2) for _ in range(300))
+        ))
+        teams = write(tmp_path, "teams.csv", "team_id,member\n" + "".join(
+            f"{team},{member}\n"
+            for team, members in (("g1", "u0 u1 u2"), ("g2", "u2 u3 u4"), ("g3", "u3 u4 u0"))
+            for member in members.split()
+        ))
+        depvars = write(tmp_path, "depvars.csv",
+                        "team_id,variable_name,value\ng1,perf,1\ng2,perf,3\ng3,perf,2\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an InteractionEvent was built")
+
+        monkeypatch.setattr(model.InteractionEvent, "__init__", refuse)
+        common = ["--events", str(events), "--teams", str(teams), "--window", "2h", "--step", "1h",
+                  "--out", str(tmp_path / "o")]
+        for argv in (
+            ["validate", "--events", str(events)],
+            ["metrics", *common, "--jobs", "1"],
+            ["correlate", *common, "--depvars", str(depvars)],
+            ["series", *common, "--team", "g1"],
+            ["surface", *common, "--team", "g2", "--metric", "ci"],
+        ):
+            assert main(argv) == 0, capsys.readouterr().err
 
 
 class TestSeries:

@@ -17,6 +17,13 @@ from teamsignals.cli import _write_csv
 from teamsignals.model import InteractionEvent, validate_log
 
 
+def events_of(columns):
+    """parse_events' rows as InteractionEvents, in file order."""
+    names = columns.names
+    return [InteractionEvent(names[s], names[r], t)
+            for t, s, r in zip(columns.stamps, columns.senders, columns.recipients)]
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -32,14 +39,14 @@ class TestParseEventsCsv:
         )
         events = parse_events(path)
         ts = 1276432620
-        assert events == [
+        assert events_of(events) == [
             InteractionEvent("a@x", "b@x", ts),
             InteractionEvent("a@x", "c@x", ts),
         ]
 
     def test_epoch_seconds(self, tmp_path):
         path = write(tmp_path, "events.csv", "timestamp,sender,recipients\n1276432620,a@x,b@x\n")
-        assert parse_events(path)[0].timestamp == 1276432620
+        assert parse_events(path).stamps[0] == 1276432620
 
     def test_empty_recipients_names_line(self, tmp_path):
         path = write(tmp_path, "events.csv", "timestamp,sender,recipients\n100,a@x,;\n")
@@ -71,7 +78,7 @@ class TestParseEventsCsv:
             "events.csv",
             "timestamp,sender,recipients\n2010-06-13T08:37:00-04:00,a@x,b@x\n",
         )
-        assert parse_events(path)[0].timestamp == 1276432620
+        assert parse_events(path).stamps[0] == 1276432620
 
     def test_subsecond_truncated(self, tmp_path):
         path = write(
@@ -79,7 +86,7 @@ class TestParseEventsCsv:
             "events.csv",
             "timestamp,sender,recipients\n2010-06-13T12:37:00.987Z,a@x,b@x\n",
         )
-        assert parse_events(path)[0].timestamp == 1276432620
+        assert parse_events(path).stamps[0] == 1276432620
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "events.csv", "timestamp,sender,recipients\n100,a@x\n")
@@ -94,12 +101,12 @@ class TestParseEventsCsv:
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_bytes(b"timestamp,sender,recipients\r\n100,a@x,b@x\r\n")
-        assert len(parse_events(path)) == 1
+        assert len(parse_events(path).stamps) == 1
 
     def test_actors_interned(self, tmp_path):
         rows = "timestamp,sender,recipients\n1, A ,b\n2,a,b\n3,A,b\n"
         path = write(tmp_path, "events.csv", rows)
-        senders = [e.sender for e in parse_events(path)]
+        senders = [e.sender for e in events_of(parse_events(path))]
         assert senders == ["a", "a", "a"]
         assert senders[0] is senders[1] is senders[2]
 
@@ -111,7 +118,7 @@ class TestParseEventsCsv:
 
 def _parse_one(tmp_path, stamp):
     path = write(tmp_path, "events.csv", f"timestamp,sender,recipients\n{stamp},a,b\n")
-    return parse_events(path)[0].timestamp
+    return parse_events(path).stamps[0]
 
 
 class TestRfc3339:
@@ -202,7 +209,7 @@ class TestParseEventsJsonl:
             "events.jsonl",
             '{"timestamp": 100, "sender": "A", "recipients": ["b", "c"]}\n',
         )
-        events = parse_events(path)
+        events = events_of(parse_events(path))
         assert [e.recipient for e in events] == ["b", "c"]
         assert events[0].sender == "a"
 
@@ -272,7 +279,7 @@ class TestOneIngestLoop:
         csv_path, jsonl_path = _write_both(tmp_path, rows)
         events = parse_events(csv_path)
         assert events == parse_events(jsonl_path)
-        assert len(events) == sum(len(recipients) for _, _, recipients in rows)
+        assert len(events.stamps) == sum(len(recipients) for _, _, recipients in rows)
 
     def test_malformed_stamp(self, tmp_path):
         rows = [("100", "a", ["b"]), ("1_000", "a", ["b"])]
@@ -300,7 +307,7 @@ def test_expansion_preserves_record_count(tmp_path):
         expected += k
         rows.append(f"{1000 + i},s{i},{';'.join(f'r{j}' for j in range(k))}")
     path = write(tmp_path, "events.csv", "\n".join(rows) + "\n")
-    assert len(parse_events(path)) == expected
+    assert len(parse_events(path).stamps) == expected
 
 
 def test_round_trip(tmp_path):

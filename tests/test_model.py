@@ -1,15 +1,19 @@
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from teamsignals.ingest import parse_events
 from teamsignals.model import (
     EmptyLogError,
     InteractionEvent,
     Team,
     normalize_actor,
+    partition_by_team,
     restrict_to_team,
     validate_log,
 )
+
+from . import oracles
 
 
 def ev(sender, recipient, ts):
@@ -134,3 +138,51 @@ def test_generator_input_cleans_like_the_list(events):
             validate_log(e for e in events)
         return
     assert validate_log(e for e in events) == expected
+
+
+# raw tokens: " A " and "a" normalize to one actor, as do "B" and "b"
+RAW_TOKENS = ["a", " A ", "b", "B", "c", "d"]
+raw_rows = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from(RAW_TOKENS), st.sampled_from(RAW_TOKENS)),
+    max_size=30,
+)
+# stamps of self-loops of "solo", an actor seen in no other event
+solo_stamps = st.lists(st.integers(-3, 3), max_size=3)
+# rosters overlap, may name "solo" and "x" (never in an event), and may be empty (ALL)
+rosters = st.lists(st.frozensets(st.sampled_from(["a", "b", "c", "d", "solo", "x"])), max_size=4)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw_rows, solo_stamps, rosters, st.randoms())
+def test_columnar_path_equals_the_object_oracle(tmp_path, rows, solo, members, rng):
+    rows = rows + [(t, "solo", "SOLO ") for t in solo]
+    rng.shuffle(rows)
+    path = tmp_path / "events.csv"
+    path.write_text("timestamp,sender,recipients\n" + "".join(f"{t},{s},{r}\n" for t, s, r in rows),
+                    encoding="utf-8")
+    events = [InteractionEvent(normalize_actor(s), normalize_actor(r), t) for t, s, r in rows]
+    expected, dropped, collapsed = oracles.validate_events(events)
+    if not expected:
+        for raw in (parse_events(path), events):
+            with pytest.raises(EmptyLogError):
+                validate_log(raw)
+        return
+    cleaned = validate_log(parse_events(path))
+    assert validate_log(events) == cleaned  # the InteractionEvent adapter takes the same path
+    assert cleaned.log.events == expected
+    assert (cleaned.dropped_self_loops, cleaned.collapsed_duplicates) == (dropped, collapsed)
+    actors = tuple(sorted({a for e in expected for a in (e.sender, e.recipient)}))
+    assert cleaned.log.names == actors  # "solo", seen only in self-loops, is not numbered
+    assert cleaned.log.t_start == expected[0].timestamp
+    assert cleaned.log.t_end == expected[-1].timestamp
+
+    teams = [Team(f"t{i}", m) for i, m in enumerate(members)]
+    team_logs, skipped = partition_by_team(cleaned.log, teams)
+    expected_events, expected_skipped = oracles.partition_events(expected, teams)
+    assert skipped == expected_skipped
+    assert list(team_logs) == list(expected_events)
+    for team_id, team_log in team_logs.items():
+        assert team_log.events == expected_events[team_id]
+        assert team_log.names == tuple(sorted({a for e in team_log.events
+                                               for a in (e.sender, e.recipient)}))
+        assert (team_log.t_start, team_log.t_end) == (cleaned.log.t_start, cleaned.log.t_end)

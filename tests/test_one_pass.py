@@ -7,6 +7,7 @@ bit for bit, not approximately.
 import random
 from collections import Counter, deque
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from teamsignals import windows
 from teamsignals.model import (
     EmptyLogError,
-    EventLog,
     InteractionEvent,
     Team,
     partition_by_team,
@@ -31,7 +31,6 @@ from teamsignals.signals import (
 )
 from teamsignals.windows import (
     WindowConfig,
-    _columns,
     _snapped_betweenness,
     _window_rows,
     betweenness,
@@ -104,7 +103,7 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
             rc=rotating_signal(series(team_log, cfg, "ci")),
             prt_et=prompt_response_time(team_log, "et"),
             prt_fn=prompt_response_time(team_log, "fn"),
-            n_actors=len(team_log.actors()),
+            n_actors=len(team_log.names),
             n_closed_frames=len(closed_frames(team_log)),
         )
         assert team_signals(team_log, cfg) == expected
@@ -113,8 +112,8 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
 @settings(deadline=None)
 @given(logs, configs)
 def test_reused_betweenness_equals_fresh_betweenness(log, cfg):
-    actors, columns = _columns(log)
-    rows = list(_window_rows(log, cfg, columns, len(actors), True))
+    actors = log.names
+    rows = list(_window_rows(log, cfg, True))
     assert [(end, p, ci) for end, p, _, ci, _ in rows] == list(series(log, cfg, "ci"))
     assert [(end, p, bc) for end, p, bc, _, _ in rows] == list(series(log, cfg, "bc"))
     snapshots = build_snapshots(log, cfg)
@@ -159,7 +158,7 @@ def _team_logs(draw):
     """
     log = draw(logs)
     lead = draw(st.integers(0, 4 * 3600))
-    log = EventLog(log.events, log.t_start - lead, log.t_end)
+    log = replace(log, t_start=log.t_start - lead)
     members = draw(st.frozensets(st.sampled_from(LOG_ACTORS)))
     if members:  # with one event's ends, so the team log is never empty
         kept = draw(st.sampled_from(log.events))
@@ -173,9 +172,9 @@ team_logs = _team_logs()
 @settings(deadline=None)
 @given(team_logs, configs)
 def test_sliding_pass_equals_snapshots(log, cfg):
-    actors, columns = _columns(log)
+    actors = log.names
     with _kernel_inputs() as kernel_inputs:
-        rows = list(_window_rows(log, cfg, columns, len(actors), True))
+        rows = list(_window_rows(log, cfg, True))
     snapshots = build_snapshots(log, cfg)
     # the kernel runs once per change of edge set, starting from the empty
     # one, on the adjacency betweenness(snapshot) builds

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import _response_sums, prompt_response_time, rotating_signal, team_signals
-from teamsignals.windows import WindowConfig, _columns, build_snapshots, series
+from teamsignals.windows import WindowConfig, build_snapshots, series
 
 from .oracles import (
     CommunicationFrame,
@@ -200,9 +200,8 @@ def test_frames_match_reversal_oracle():
 
 def responsiveness(log, variant):
     """RCF by actor name, from the PRT pass's per-responder sums, in their float-sum order."""
-    actors, columns = _columns(log)
-    rcf_et, rcf_fn, _, _ = _response_sums(columns, len(actors))
-    return {actors[u]: x for u, x in (rcf_et if variant == "et" else rcf_fn).items()}
+    rcf_et, rcf_fn, _, _ = _response_sums(log)
+    return {log.names[u]: x for u, x in (rcf_et if variant == "et" else rcf_fn).items()}
 
 
 class TestResponsiveness:
@@ -288,18 +287,15 @@ class TestTeamSignals:
         assert sig.prt_et == 3600.0
         assert sig.prt_fn == 2.0
 
-    def test_one_roster_scan(self, monkeypatch):
-        calls = []
-        actors = EventLog.actors
-
-        def counting(log):
-            calls.append(log)
-            return actors(log)
-
-        monkeypatch.setattr(EventLog, "actors", counting)
+    def test_reads_the_columns_only(self, monkeypatch):
         log = validate_log([ev("a", "b", 0), ev("b", "c", HOUR), ev("c", "a", 2 * HOUR)]).log
-        team_signals(log, WindowConfig(HOUR, HOUR))
-        assert calls == [log]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an InteractionEvent was built")
+
+        monkeypatch.setattr(InteractionEvent, "__init__", refuse)
+        monkeypatch.setattr(EventLog, "events", property(refuse))
+        assert team_signals(log, WindowConfig(HOUR, HOUR)).n_actors == 3
 
     def test_prt_et_scales_with_time(self):
         # stretching timestamps by c scales PRT-ET by c and nothing else
@@ -360,7 +356,7 @@ def test_rl_is_exact_under_actor_relabelling():
     assert len(got) == 1
     # RL from the exact rational scores of every window
     log = _seeded_log(None)
-    index = {a: i for i, a in enumerate(sorted(log.actors()))}
+    index = {a: i for i, a in enumerate(log.names)}
     exact_rows = []
     for (end, presence, _), snapshot in zip(series(log, cfg, "bc"), build_snapshots(log, cfg)):
         adjacency: list[list[int]] = [[] for _ in index]

@@ -11,6 +11,7 @@ what judging whole rows counts.
 
 import tracemalloc
 from collections import defaultdict
+from dataclasses import replace
 from operator import attrgetter
 
 from hypothesis import given, settings
@@ -18,9 +19,16 @@ from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, InteractionEvent, validate_log
 from teamsignals.signals import _ExtremaCounter, rotating_signal, team_signals
-from teamsignals.windows import WindowConfig, _columns, _window_rows, series
+from teamsignals.windows import WindowConfig, _window_rows, series
 
-from .oracles import closed_frames, count_extrema, extrema_scan, prt_from_frames, segment_frames
+from .oracles import (
+    closed_frames,
+    count_extrema,
+    event_log,
+    extrema_scan,
+    prt_from_frames,
+    segment_frames,
+)
 from .test_one_pass import _kernel_inputs, configs, logs, team_logs
 from .test_signals import responsiveness
 
@@ -87,9 +95,8 @@ def test_counter_equals_count_extrema_for_every_actor(grid):
 def test_unchanged_rows_are_yielded_as_the_same_objects():
     # a-b at 0.5h and b-a at 4.5h; with 1h windows three windows between are empty
     events = [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
-    log = EventLog(validate_log(events).log.events, 0, 9 * HOUR // 2)
-    _actors, columns = _columns(log)
-    got = list(_window_rows(log, WindowConfig(HOUR, HOUR), columns, 2, True))
+    log = replace(validate_log(events).log, t_start=0)
+    got = list(_window_rows(log, WindowConfig(HOUR, HOUR), True))
     assert [end for end, *_ in got] == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
     (_, p0, b0, c0, _), (_, p1, b1, c1, _), (_, p2, b2, c2, _), (_, p3, b3, c3, _), _ = got
     assert p0 == [True, True] and c0 == [1.0, -1.0]
@@ -101,8 +108,7 @@ def test_unchanged_rows_are_yielded_as_the_same_objects():
 
 
 def _rows(log, cfg):
-    actors, columns = _columns(log)
-    return list(_window_rows(log, cfg, columns, len(actors), True)), len(actors)
+    return list(_window_rows(log, cfg, True)), len(log.names)
 
 
 def _totals(rows, n, moved_only):
@@ -141,11 +147,9 @@ def test_judging_moved_actors_equals_judging_whole_rows(log, cfg):
 @settings(deadline=None)
 @given(team_logs, configs)
 def test_presence_and_ci_rows_do_not_depend_on_want_bc(log, cfg):
-    actors, columns = _columns(log)
-
     def rows(want_bc):
         return [(end, presence, ci, moved) for end, presence, _bc, ci, moved
-                in _window_rows(log, cfg, columns, len(actors), want_bc)]
+                in _window_rows(log, cfg, want_bc)]
 
     assert rows(False) == rows(True)
 
@@ -220,7 +224,7 @@ def test_frame_pairs_in_sorted_actor_order(log):
         streams[frozenset((e.sender, e.recipient))].append(e)
     expected = []
     for key in sorted(streams, key=sorted):
-        pair_log = EventLog(tuple(streams[key]), log.t_start, log.t_end)
+        pair_log = event_log(streams[key], log.t_start, log.t_end)
         expected.extend(f for f in segment_frames(pair_log, *sorted(key)) if f.closed)
     assert closed_frames(log) == expected
     # the one pass meets each responder at its first closed frame in that order
@@ -232,7 +236,7 @@ def test_frame_pairs_in_sorted_actor_order(log):
 def _event_log(rows) -> EventLog:
     """An EventLog built by hand: sorted, but self-loops and duplicates kept."""
     events = sorted((InteractionEvent(s, r, t) for s, r, t in rows), key=attrgetter("timestamp", "sender", "recipient"))
-    return EventLog(tuple(events), events[0].timestamp, events[-1].timestamp)
+    return event_log(events, events[0].timestamp, events[-1].timestamp)
 
 
 # few actors and stamps, so pairs interleave and stamps repeat; the stamp

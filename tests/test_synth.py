@@ -88,14 +88,14 @@ class TestGenerate:
 
     def test_actor_prefix(self):
         log = generate(scenario(), actor_prefix="team7.")
-        assert all(a.startswith("team7.") for a in log.actors())
+        assert all(a.startswith("team7.") for a in log.names)
 
     def test_reply_delay_is_exact_frame_elapsed_time(self):
         from .oracles import segment_frames
 
         sc = scenario(n_actors=30, duration=29 * 1800, mean_event_rate=6.0)
         log = generate(sc)
-        for spoke in sorted(log.actors() - {"a000"}):
+        for spoke in sorted(set(log.names) - {"a000"}):
             for frame in segment_frames(log, "a000", spoke):
                 if frame.closed:
                     assert frame.elapsed_time == 60

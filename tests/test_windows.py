@@ -1,11 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teamsignals.model import MAX_TIMESTAMP, EventLog, InteractionEvent, validate_log
+from teamsignals.model import MAX_TIMESTAMP, InteractionEvent, validate_log
 from teamsignals.windows import (
     ConfigError,
     GraphSnapshot,
@@ -76,7 +77,7 @@ class TestGrid:
 
     def test_range_start_before_first_event(self):
         # a team log keeps the full log's range, which can start before its events
-        log = EventLog(validate_log([ev("a", "b", 1800), ev("b", "a", 9000)]).log.events, 0, 9000)
+        log = replace(validate_log([ev("a", "b", 1800), ev("b", "a", 9000)]).log, t_start=0)
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         assert window_ends(log, cfg) == [HOUR, 2 * HOUR, 3 * HOUR]
 
@@ -215,7 +216,7 @@ def by_actor(rows, actors):
 class TestSeries:
     def test_alternating_directions_alternate_ci(self):
         events = [ev("a", "b", 1800), ev("b", "a", 5400), ev("a", "b", 9000), ev("b", "a", 12600)]
-        log = EventLog(validate_log(events).log.events, 0, 12600)
+        log = replace(validate_log(events).log, t_start=0, t_end=12600)
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         ws = by_actor(list(series(log, cfg, "ci")), "ab")
         assert ws["a"][0] == [1.0, -1.0, 1.0, -1.0]
@@ -226,7 +227,7 @@ class TestSeries:
         # mute's one event sits at the log start, on the first window's open edge
         log = validate_log([ev("mute", "a", 100), ev("a", "b", 100), ev("b", "a", 7300)]).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
-        values, presence = by_actor(list(series(log, cfg, "bc")), log.actors())["mute"]
+        values, presence = by_actor(list(series(log, cfg, "bc")), log.names)["mute"]
         assert set(values) == {0.0}
         assert not any(presence)
 
@@ -275,8 +276,9 @@ class TestSeries:
 
 # logs whose range starts at or up to 1000 s before their first event, as a team log's can
 grid_logs = st.builds(
-    lambda a, b, lead: EventLog(
-        (ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)), min(a, b) - lead, max(a, b) + 1
+    lambda a, b, lead: replace(
+        validate_log([ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)]).log,
+        t_start=min(a, b) - lead,
     ),
     st.integers(0, 10_000),
     st.integers(0, 10_000),
