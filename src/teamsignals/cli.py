@@ -19,6 +19,7 @@ import csv
 import os
 import sys
 import warnings
+from array import array
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -33,6 +34,7 @@ from .ingest import (
 from .model import (
     CleanedLog,
     EmptyLogError,
+    EventColumns,
     EventLog,
     Team,
     partition_by_team,
@@ -217,17 +219,23 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         entries = [(t, replace(sc, seed=args.seed + i)) for i, (t, sc) in enumerate(entries)]
     out_dir = Path(args.out)
-    all_events = []
+    names: list[str] = []
+    stamps, senders, recipients = array("q"), array("i"), array("i")
     rosters: list[tuple[str, str]] = []
     for team_id, scenario in entries:
         log = generate(scenario, actor_prefix=f"{team_id}.")
-        all_events.extend(log.events)
+        offset = len(names)  # the team's ids follow those of the teams before it
+        names.extend(log.names)
+        stamps.extend(log.stamps)
+        senders.extend(s + offset for s in log.senders)
+        recipients.extend(r + offset for r in log.recipients)
         rosters.extend((team_id, actor) for actor in log.names)
-    merged = validate_log(all_events).log
+    merged = validate_log(EventColumns(tuple(names), stamps, senders, recipients)).log
     _write_csv(
         out_dir / "events.csv",
         ["timestamp", "sender", "recipients"],
-        ([format_timestamp(e.timestamp), e.sender, e.recipient] for e in merged.events),
+        ([format_timestamp(t), merged.names[s], merged.names[r]]
+         for t, s, r in zip(merged.stamps, merged.senders, merged.recipients)),
     )
     _write_csv(out_dir / "teams.csv", ["team_id", "member"], rosters)
     return 0

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 ActorId = str
 
@@ -37,24 +36,11 @@ def normalize_actor(raw: str) -> ActorId:
     return token
 
 
-@dataclass(frozen=True, slots=True)
-class InteractionEvent:
-    """One directed, timestamped communication from a sender to one recipient.
-
-    ``timestamp`` is epoch seconds; sub-second input must be truncated before
-    construction.
-    """
-
-    sender: ActorId
-    recipient: ActorId
-    timestamp: int
-
-
 class EventColumns(NamedTuple):
-    """parse_events' output: its events in file order, as columns.
+    """Raw events as columns: parse_events' in file order, or synth's as generated.
 
-    Row i is names[senders[i]] -> names[recipients[i]] at stamps[i]; names
-    are in order of first appearance.
+    Row i is names[senders[i]] -> names[recipients[i]] at stamps[i];
+    parse_events lists names in order of first appearance.
     """
 
     names: tuple[ActorId, ...]
@@ -68,8 +54,7 @@ class EventLog:
     """validate_log's columns, as in EventColumns, with their closed time range.
 
     names are sorted, and each is in a row; rows are sorted by (timestamp,
-    sender, recipient), with no self-loop or duplicate. An InteractionEvent
-    is made only when .events is read.
+    sender, recipient), with no self-loop or duplicate.
     """
 
     names: tuple[ActorId, ...]
@@ -81,12 +66,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.stamps)
-
-    @cached_property
-    def events(self) -> tuple[InteractionEvent, ...]:
-        names = self.names
-        return tuple(InteractionEvent(names[s], names[r], t)
-                     for t, s, r in zip(self.stamps, self.senders, self.recipients))
 
 
 @dataclass(frozen=True)
@@ -110,18 +89,8 @@ class CleanedLog:
     collapsed_duplicates: int
 
 
-def _columns_of(events: Iterable[InteractionEvent]) -> EventColumns:
-    ids: dict[ActorId, int] = {}
-    stamps, senders, recipients = array("q"), array("i"), array("i")
-    for e in events:
-        stamps.append(e.timestamp)
-        senders.append(ids.setdefault(e.sender, len(ids)))
-        recipients.append(ids.setdefault(e.recipient, len(ids)))
-    return EventColumns(tuple(ids), stamps, senders, recipients)
-
-
-def validate_log(raw: EventColumns | EventLog | Iterable[InteractionEvent]) -> CleanedLog:
-    """Sort, deduplicate and range-stamp parse_events' columns, or InteractionEvents.
+def validate_log(raw: EventColumns | EventLog) -> CleanedLog:
+    """Sort, deduplicate and range-stamp raw EventColumns, or an EventLog again.
 
     Self-loops are dropped, with any actor seen only in them; exact
     duplicates (same sender, recipient and timestamp) collapse to one
@@ -130,8 +99,6 @@ def validate_log(raw: EventColumns | EventLog | Iterable[InteractionEvent]) -> C
     of the input yields the same log. Raises EmptyLogError if nothing
     survives cleaning.
     """
-    if not isinstance(raw, (EventColumns, EventLog)):
-        raw = _columns_of(raw)
     names, stamps, senders, recipients = raw.names, raw.stamps, raw.senders, raw.recipients
     kept = bytearray(len(names))  # 1 for an actor of an event that is not a self-loop
     for s, r in zip(senders, recipients):

@@ -18,10 +18,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import EventLog, InteractionEvent, validate_log
+from .model import EventColumns, EventLog, validate_log
 from .windows import ConfigError, parse_duration
 
 
@@ -98,33 +99,31 @@ def generate(scenario: SynthScenario, actor_prefix: str = "") -> EventLog:
             f"{gap}s exchange gap at rate {scenario.mean_event_rate}/h"
         )
     rng = random.Random(scenario.seed)
-    actors = [f"{actor_prefix}a{i:03d}" for i in range(scenario.n_actors)]
-    events: list[InteractionEvent] = []
-    spoke_queue: list[str] = []
-    prev_hub: str | None = None
+    n = scenario.n_actors
+    stamps, senders, recipients = array("q"), array("i"), array("i")
+    spoke_queue: list[int] = []
+    prev_hub: int | None = None
     t = 0
     while t < scenario.duration:
-        if scenario.rotation_period is None:
-            hub = actors[0]
-        else:
-            hub = actors[(t // scenario.rotation_period) % scenario.n_actors]
+        hub = 0 if scenario.rotation_period is None else (t // scenario.rotation_period) % n
         if hub != prev_hub:
             spoke_queue = []
             prev_hub = hub
-        hub_turn = rng.random() < scenario.leader_share or scenario.n_actors < 3
+        hub_turn = rng.random() < scenario.leader_share or n < 3
         if hub_turn:
             if not spoke_queue:
-                spoke_queue = [a for a in actors if a != hub]
+                spoke_queue = [a for a in range(n) if a != hub]
                 rng.shuffle(spoke_queue)
             src, dst = hub, spoke_queue.pop()
         else:
-            src, dst = rng.sample([a for a in actors if a != hub], 2)
+            src, dst = rng.sample([a for a in range(n) if a != hub], 2)
         delay = scenario.reply_delay.draw(rng)
-        events.append(InteractionEvent(src, dst, t))
-        events.append(InteractionEvent(src, dst, t + 1))
-        events.append(InteractionEvent(dst, src, t + delay))
+        stamps.extend((t, t + 1, t + delay))
+        senders.extend((src, src, dst))
+        recipients.extend((dst, dst, src))
         t += gap
-    return validate_log(events).log
+    names = tuple(f"{actor_prefix}a{i:03d}" for i in range(n))
+    return validate_log(EventColumns(names, stamps, senders, recipients)).log
 
 
 def _shown(value) -> str:
@@ -171,7 +170,9 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     "mean_event_rate": 6.0, "rotation_period": "4d" | null,
     "leader_share": 1.0, "reply_delay": {"kind": "fixed", "seconds": 60},
     "seed": 1}, ...]}. Durations accept JSON integer seconds or suffixed
-    strings; team_id must be a JSON string, reply_delay a JSON object,
+    strings; team_id must be a JSON string in lowercase with no ";" (the
+    actors are named "{team_id}.aNNN", and events.csv is read back
+    lowercased and split on ";"), reply_delay a JSON object,
     n_actors and seed JSON integers and the rates, shares and delays JSON
     numbers, never bools or strings. Any file that is not such a layout
     raises ConfigError naming the file (and the team and key of a bad
@@ -196,6 +197,9 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
         team_id = team_id.strip()
         if not team_id:
             raise ConfigError(f"{path}: each team needs a team_id")
+        if team_id != team_id.lower() or ";" in team_id:
+            raise ConfigError(f"{path}: team {team_id!r}: team_id must be lowercase, with no ';', "
+                              "so that its actors' names read back as written")
         if team_id in seen:
             raise ConfigError(f"{path}: duplicate team_id {team_id!r}")
         seen.add(team_id)

@@ -3,10 +3,11 @@
 Windows form a fixed grid anchored at the log's range start: window k
 covers ``(end_k - window_size, end_k]`` with ``end_k = t_start + k * step``,
 for k = 1 up to the first end at or past t_end, so a log spanning 24 h
-with a 1 h step has ends at hours 1..24. A team log keeps the full log's
-range, so every team of a log shares one grid. When window_size equals
-step (``--window 1h --step 1h``), an event stamped at t_start lies in no
-window.
+with a 12 h window and a 1 h step has ends at hours 1..24. When
+window_size equals step (``--window 1h --step 1h``), k starts at 0, so
+the windows tile the range and an event stamped at t_start lies in the
+first window. A team log keeps the full log's range, so every team of a
+log shares one grid.
 
 Every function here takes a team log (model.restrict_to_team or
 model.partition_by_team applies a roster) and reads its columns as they
@@ -100,14 +101,16 @@ class GraphSnapshot:
 def _grid(log: EventLog, cfg: WindowConfig) -> range:
     """Window ends t_start + k*step, from k = 1 to the first end at or past t_end, as a range.
 
-    Raises ConfigError when the last end lies past model.MAX_TIMESTAMP.
+    k starts at 0 when window_size equals step, so no event at t_start is
+    left out. Raises ConfigError when the last end lies past
+    model.MAX_TIMESTAMP.
     """
     step = cfg.step
-    k_last = max(1, -((log.t_start - log.t_end) // step))  # ceil((t_end - t_start) / step)
-    last = log.t_start + k_last * step
+    first = log.t_start if cfg.window_size == step else log.t_start + step
+    last = max(first, log.t_start - (log.t_start - log.t_end) // step * step)  # ceil to the grid
     if last > MAX_TIMESTAMP:
         raise ConfigError(f"the window grid (step {step}s) ends past 9999-12-31T23:59:59Z")
-    return range(log.t_start + step, last + 1, step)
+    return range(first, last + 1, step)
 
 
 def build_snapshots(log: EventLog, cfg: WindowConfig) -> list[GraphSnapshot]:

@@ -12,6 +12,10 @@ InteractionEvents by (timestamp, sender, recipient) and a per-event roster
 lookup. event_log builds an EventLog from events as given, with no
 cleaning.
 
+InteractionEvent, the one-object-per-event form the package does not
+have, lives here: columns turns a list of them into the EventColumns that
+validate_log takes, and events_of reads a log's rows back as them.
+
 The package's views that no command runs live here too: window_ends,
 contribution_index and count_extrema, each a direct use of the package's
 own pieces. The regularized incomplete beta, by Lentz's continued fraction, is
@@ -30,9 +34,36 @@ from operator import attrgetter
 
 import numpy as np
 
-from teamsignals.model import ActorId, EmptyLogError, EventLog, InteractionEvent, Team
+from teamsignals.model import ActorId, EmptyLogError, EventColumns, EventLog, Team
 from teamsignals.signals import _ExtremaCounter
 from teamsignals.windows import WindowConfig, _grid
+
+
+@dataclass(frozen=True, slots=True)
+class InteractionEvent:
+    """One directed, timestamped communication from a sender to one recipient."""
+
+    sender: ActorId
+    recipient: ActorId
+    timestamp: int
+
+
+def columns(events) -> EventColumns:
+    """events as EventColumns, rows in the order given, names by first appearance."""
+    ids: dict[ActorId, int] = {}
+    stamps, senders, recipients = array("q"), array("i"), array("i")
+    for e in events:
+        stamps.append(e.timestamp)
+        senders.append(ids.setdefault(e.sender, len(ids)))
+        recipients.append(ids.setdefault(e.recipient, len(ids)))
+    return EventColumns(tuple(ids), stamps, senders, recipients)
+
+
+def events_of(log) -> tuple[InteractionEvent, ...]:
+    """An EventLog's (or EventColumns') rows as InteractionEvents, in row order."""
+    names = log.names
+    return tuple(InteractionEvent(names[s], names[r], t)
+                 for t, s, r in zip(log.stamps, log.senders, log.recipients))
 
 
 def bc_path_enumeration(n: int, edges: set[tuple[int, int]]) -> list[float]:
@@ -246,7 +277,7 @@ def segment_frames(log: EventLog, a: ActorId, b: ActorId) -> list[CommunicationF
     frames: list[CommunicationFrame] = []
     src = dst = None
     first = last = count = 0
-    for e in [x for x in log.events if {x.sender, x.recipient} == pair]:
+    for e in [x for x in events_of(log) if {x.sender, x.recipient} == pair]:
         if src is not None and e.sender != src:
             # reply: closes the open frame and opens the next one
             frames.append(CommunicationFrame(src, dst, first, e.timestamp, count + 1, closed=True))
@@ -261,7 +292,7 @@ def segment_frames(log: EventLog, a: ActorId, b: ActorId) -> list[CommunicationF
 
 def closed_frames(log) -> list:
     """Closed frames of every actor pair, from segment_frames, pairs in sorted order."""
-    pairs = sorted({tuple(sorted((e.sender, e.recipient))) for e in log.events})
+    pairs = sorted({tuple(sorted((e.sender, e.recipient))) for e in events_of(log)})
     return [f for a, b in pairs for f in segment_frames(log, a, b) if f.closed]
 
 
@@ -280,7 +311,7 @@ def prt_from_frames(log, variant: str):
     if not samples:
         return None
     weight: Counter = Counter()
-    for e in log.events:
+    for e in events_of(log):
         weight[e.sender] += 1
         weight[e.recipient] += 1
     num = 0.0
@@ -377,7 +408,7 @@ def restrict_to_team(log: EventLog, team: Team) -> EventLog:
     """
     if not team.members:
         return log
-    kept = [e for e in log.events if e.sender in team.members and e.recipient in team.members]
+    kept = [e for e in events_of(log) if e.sender in team.members and e.recipient in team.members]
     if not kept:
         raise EmptyLogError(f"empty team log for team {team.team_id!r}")
     return event_log(kept, log.t_start, log.t_end)
@@ -386,7 +417,8 @@ def restrict_to_team(log: EventLog, team: Team) -> EventLog:
 def window_ends(log: EventLog, cfg: WindowConfig) -> list[int]:
     """The grid's window ends as a list; ConfigError past model.MAX_TIMESTAMP.
 
-    The ends are t_start + k*step, for k = 1 up to the first end at or past t_end.
+    The ends are t_start + k*step, for k = 1 (k = 0 when window_size equals
+    step) up to the first end at or past t_end.
     """
     return list(_grid(log, cfg))
 

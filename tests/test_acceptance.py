@@ -28,10 +28,13 @@ from teamsignals.windows import (
 )
 
 from .oracles import (
+    InteractionEvent,
     bc_floyd_warshall_batch,
     bc_path_enumeration,
+    columns,
     contribution_index,
     count_extrema,
+    events_of,
     reversal_count,
     segment_frames,
     t_cdf,
@@ -186,8 +189,6 @@ def test_extrema_properties():
 
 
 def test_frame_segmentation_oracle():
-    from teamsignals.model import InteractionEvent
-
     start = time.perf_counter()
     rng = random.Random(777)
     for _ in range(500):
@@ -197,12 +198,12 @@ def test_frame_segmentation_oracle():
             InteractionEvent("x", "y", t) if rng.random() < 0.5 else InteractionEvent("y", "x", t)
             for t in stamps
         ]
-        log = validate_log(events).log
+        log = validate_log(columns(events)).log
         frames = segment_frames(log, "x", "y")
-        reversals = reversal_count([e.sender for e in log.events])
+        reversals = reversal_count([e.sender for e in events_of(log)])
         assert sum(f.closed for f in frames) == reversals
         # every event in exactly one frame; reversal events in exactly two
-        assert sum(f.event_count for f in frames) == len(log.events) + reversals
+        assert sum(f.event_count for f in frames) == len(log) + reversals
         for prev, nxt in zip(frames, frames[1:]):
             assert prev.closed and nxt.first_event == prev.last_event
     elapsed = time.perf_counter() - start

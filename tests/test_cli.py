@@ -1,14 +1,13 @@
 import concurrent.futures
 import json
-import random
 import warnings
 
 import pytest
 
-from teamsignals import cli, model
+from teamsignals import cli
 from teamsignals.cli import main
-from teamsignals.ingest import parse_events
-from teamsignals.model import validate_log
+from teamsignals.ingest import parse_events, parse_teams
+from teamsignals.model import partition_by_team, validate_log
 from teamsignals.stats import SIGNAL_FIELDS
 from teamsignals.synth import generate, load_scenario_file
 
@@ -121,8 +120,8 @@ class TestMetrics:
         args = ["metrics", "--events", str(path), "--out", str(tmp_path / "o")]
         assert main(args + ["--window", "1h", "--step", "1h"]) == 0
         err = capsys.readouterr().err
-        assert err == (
-            "warning: the window grid has 1 window(s), fewer than 3: "
+        assert err == (  # ends at 0 and 1h: the event at t_start gets the window ending there
+            "warning: the window grid has 2 window(s), fewer than 3: "
             "RL and RC are 0 for every team\n"
         )
         rows = (tmp_path / "o" / "signals.csv").read_text().splitlines()
@@ -209,37 +208,6 @@ class TestStderr:
         with pytest.warns(DeprecationWarning, match="an old call"):  # passed on, not swallowed
             assert main(["validate", "--events", str(path)]) == 0
         assert capsys.readouterr().err == ""
-
-
-class TestNoEventObjects:
-    def test_no_command_builds_an_interaction_event(self, tmp_path, capsys, monkeypatch):
-        rng = random.Random(7)
-        events = write(tmp_path, "events.csv", EVENTS_HEADER + "".join(
-            f"{i * 300},{a},{b}\n" for i, (a, b) in
-            enumerate(rng.sample(["u0", "u1", "u2", "u3", "u4"], 2) for _ in range(300))
-        ))
-        teams = write(tmp_path, "teams.csv", "team_id,member\n" + "".join(
-            f"{team},{member}\n"
-            for team, members in (("g1", "u0 u1 u2"), ("g2", "u2 u3 u4"), ("g3", "u3 u4 u0"))
-            for member in members.split()
-        ))
-        depvars = write(tmp_path, "depvars.csv",
-                        "team_id,variable_name,value\ng1,perf,1\ng2,perf,3\ng3,perf,2\n")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an InteractionEvent was built")
-
-        monkeypatch.setattr(model.InteractionEvent, "__init__", refuse)
-        common = ["--events", str(events), "--teams", str(teams), "--window", "2h", "--step", "1h",
-                  "--out", str(tmp_path / "o")]
-        for argv in (
-            ["validate", "--events", str(events)],
-            ["metrics", *common, "--jobs", "1"],
-            ["correlate", *common, "--depvars", str(depvars)],
-            ["series", *common, "--team", "g1"],
-            ["surface", *common, "--team", "g2", "--metric", "ci"],
-        ):
-            assert main(argv) == 0, capsys.readouterr().err
 
 
 class TestSeries:
@@ -438,6 +406,27 @@ class TestSynthCommand:
         assert main(["synth", "--scenario", str(scen_path), "--out", str(out2)]) == 0
         assert (out_dir / "events.csv").read_bytes() == (out2 / "events.csv").read_bytes()
 
+    def test_each_team_reads_back_as_generated(self, tmp_path):
+        # "a" and "a.a" share a prefix, and "b,c" is quoted in the CSV files
+        teams = [
+            {"team_id": team_id, "n_actors": n, "duration": "1d", "mean_event_rate": 12.0,
+             "rotation_period": "6h", "reply_delay": {"kind": "uniform", "lo": 30, "hi": 90},
+             "seed": seed}
+            for team_id, n, seed in (("a", 4, 1), ("a.a", 3, 2), ("b,c", 5, 3))
+        ]
+        scen_path = write(tmp_path, "scenario.json", json.dumps({"teams": teams}))
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--scenario", str(scen_path), "--out", str(out_dir)]) == 0
+        cleaned = validate_log(parse_events(out_dir / "events.csv"))
+        assert (cleaned.dropped_self_loops, cleaned.collapsed_duplicates) == (0, 0)
+        team_logs, skipped = partition_by_team(cleaned.log, parse_teams(out_dir / "teams.csv"))
+        assert skipped == []
+        assert sum(map(len, team_logs.values())) == len(cleaned.log)
+        for team_id, scen in load_scenario_file(scen_path):
+            ours, theirs = team_logs[team_id], generate(scen, actor_prefix=f"{team_id}.")
+            assert (ours.names, ours.stamps, ours.senders, ours.recipients) == (
+                theirs.names, theirs.stamps, theirs.senders, theirs.recipients)
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         scenario = {
             "teams": [
@@ -549,6 +538,10 @@ class TestInputErrorsExitTwo:
              '"mean_event_rate": 12.0, "reply_delay": {"kind": "fixed", "seconds": 45}}]}', "infinity"),
             ('{"teams": [{"team_id": "a", "n_actors": 3, "duration": "1d", "mean_event_rate": 12.0, '
              '"reply_delay": {"kind": "uniform", "lo": 30, "hi": NaN}}]}', "out of order"),
+            ('{"teams": [{"team_id": "Alpha", "n_actors": 3, "duration": "1d", "mean_event_rate": 12.0, '
+             '"reply_delay": {"kind": "fixed", "seconds": 45}}]}', "team 'Alpha': team_id must be lowercase"),
+            ('{"teams": [{"team_id": "g;h", "n_actors": 3, "duration": "1d", "mean_event_rate": 12.0, '
+             '"reply_delay": {"kind": "fixed", "seconds": 45}}]}', "team 'g;h': team_id must be lowercase, with no ';'"),
         ],
     )
     def test_bad_scenario(self, tmp_path, capsys, text, message):

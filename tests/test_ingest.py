@@ -14,14 +14,9 @@ from teamsignals.ingest import (
     parse_teams,
 )
 from teamsignals.cli import _write_csv
-from teamsignals.model import InteractionEvent, validate_log
+from teamsignals.model import validate_log
 
-
-def events_of(columns):
-    """parse_events' rows as InteractionEvents, in file order."""
-    names = columns.names
-    return [InteractionEvent(names[s], names[r], t)
-            for t, s, r in zip(columns.stamps, columns.senders, columns.recipients)]
+from .oracles import InteractionEvent, columns, events_of
 
 
 def write(tmp_path, name, text):
@@ -39,10 +34,10 @@ class TestParseEventsCsv:
         )
         events = parse_events(path)
         ts = 1276432620
-        assert events_of(events) == [
+        assert events_of(events) == (
             InteractionEvent("a@x", "b@x", ts),
             InteractionEvent("a@x", "c@x", ts),
-        ]
+        )
 
     def test_epoch_seconds(self, tmp_path):
         path = write(tmp_path, "events.csv", "timestamp,sender,recipients\n1276432620,a@x,b@x\n")
@@ -316,12 +311,12 @@ def test_round_trip(tmp_path):
         InteractionEvent("b", "a", 1276432680),
         InteractionEvent("a", "c", 1276436220),
     ]
-    log = validate_log(raw).log
+    log = validate_log(columns(raw)).log
     path = tmp_path / "out.csv"
     _write_csv(
         path,
         ["timestamp", "sender", "recipients"],
-        ([format_timestamp(e.timestamp), e.sender, e.recipient] for e in log.events),
+        ([format_timestamp(e.timestamp), e.sender, e.recipient] for e in events_of(log)),
     )
     assert validate_log(parse_events(path)).log == log
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from teamsignals import windows
 from teamsignals.model import (
     EmptyLogError,
-    InteractionEvent,
     Team,
     partition_by_team,
     restrict_to_team,
@@ -41,7 +40,16 @@ from teamsignals.windows import (
 
 from . import oracles
 from .graphs import layered_graph, random_graph
-from .oracles import brandes_exact, brandes_reference, closed_frames, contribution_index, snap
+from .oracles import (
+    InteractionEvent,
+    brandes_exact,
+    brandes_reference,
+    closed_frames,
+    columns,
+    contribution_index,
+    events_of,
+    snap,
+)
 
 LOG_ACTORS = "abcdef"
 ROSTER_ACTORS = LOG_ACTORS + "xy"  # x and y never appear in a log
@@ -55,7 +63,7 @@ logs = (
         max_size=40,
     )
     .filter(lambda rows: any(s != r for s, r, _ in rows))
-    .map(lambda rows: validate_log([InteractionEvent(s, r, 900 * t) for s, r, t in rows]).log)
+    .map(lambda rows: validate_log(columns([InteractionEvent(s, r, 900 * t) for s, r, t in rows])).log)
 )
 # overlapping rosters, roster actors absent from the log, and rosters with
 # no events; an empty roster is the whole log
@@ -141,7 +149,7 @@ def test_repeated_edge_set_computes_betweenness_once():
     # a->b->c repeats every hour: every 3h window holds the same edge set
     events = [InteractionEvent(s, r, 3600 * h + m)
               for h in range(8) for s, r, m in (("a", "b", 0), ("b", "c", 60))]
-    log = validate_log(events).log
+    log = validate_log(columns(events)).log
     with _kernel_inputs() as calls:
         rows = list(series(log, WindowConfig(3 * 3600, 3600), "bc"))
     assert len(rows) == 8
@@ -161,7 +169,7 @@ def _team_logs(draw):
     log = replace(log, t_start=log.t_start - lead)
     members = draw(st.frozensets(st.sampled_from(LOG_ACTORS)))
     if members:  # with one event's ends, so the team log is never empty
-        kept = draw(st.sampled_from(log.events))
+        kept = draw(st.sampled_from(events_of(log)))
         members |= {kept.sender, kept.recipient}
     return oracles.restrict_to_team(log, Team("t", members))
 
@@ -210,11 +218,11 @@ def test_sliding_pass_equals_snapshots(log, cfg):
 def test_edge_leaving_and_reentering_in_one_step_keeps_scores():
     # window (0, 2h] loses a->b@0 and gains a->b@2h: the edge set is unchanged,
     # so only the first window calls the kernel
-    log = validate_log([
+    log = validate_log(columns([
         InteractionEvent("a", "b", 0),
         InteractionEvent("b", "c", 1800),
         InteractionEvent("a", "b", 7200),
-    ]).log
+    ])).log
     cfg = WindowConfig(2 * 3600, 3600)
     with _kernel_inputs() as calls:
         rows = list(series(log, cfg, "bc"))

@@ -150,3 +150,28 @@ def test_every_defaulted_dataclass_field_is_set_somewhere():
         if has_default and (name, field) not in passed
     ]
     assert never_set == []
+
+
+EVENT_FIELDS = {"sender", "recipient", "timestamp"}  # one event's, where a log has columns
+
+
+def test_no_module_defines_or_imports_a_per_event_class():
+    # events are rows of EventColumns and EventLog; InteractionEvent, the
+    # object form, lives in tests/oracles.py, and no module of the package
+    # may name it or define a class that holds one event's fields
+    src = README.parent / "src" / "teamsignals"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                fields = {stmt.target.id for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+                fields |= {t.attr for t in ast.walk(node) if isinstance(t, ast.Attribute)
+                           and isinstance(t.ctx, ast.Store) and _name(t.value) == "self"}
+                if fields & EVENT_FIELDS:
+                    found.append(f"{path.name}:{node.lineno}: class {node.name}")
+            elif isinstance(node, (ast.alias, ast.Name, ast.Attribute)):
+                name = node.name if isinstance(node, ast.alias) else _name(node)
+                if name.rsplit(".", 1)[-1] == "InteractionEvent":
+                    found.append(f"{path.name}: {name}")
+    assert found == []

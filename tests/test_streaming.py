@@ -17,14 +17,17 @@ from operator import attrgetter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teamsignals.model import EventLog, InteractionEvent, validate_log
+from teamsignals.model import EventLog, validate_log
 from teamsignals.signals import _ExtremaCounter, rotating_signal, team_signals
 from teamsignals.windows import WindowConfig, _window_rows, series
 
 from .oracles import (
+    InteractionEvent,
     closed_frames,
+    columns,
     count_extrema,
     event_log,
+    events_of,
     extrema_scan,
     prt_from_frames,
     segment_frames,
@@ -93,12 +96,13 @@ def test_counter_equals_count_extrema_for_every_actor(grid):
 
 
 def test_unchanged_rows_are_yielded_as_the_same_objects():
-    # a-b at 0.5h and b-a at 4.5h; with 1h windows three windows between are empty
+    # a-b at 0.5h and b-a at 4.5h; with 1h windows the one ending at t_start
+    # and three between are empty
     events = [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
-    log = replace(validate_log(events).log, t_start=0)
+    log = replace(validate_log(columns(events)).log, t_start=0)
     got = list(_window_rows(log, WindowConfig(HOUR, HOUR), True))
-    assert [end for end, *_ in got] == [HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
-    (_, p0, b0, c0, _), (_, p1, b1, c1, _), (_, p2, b2, c2, _), (_, p3, b3, c3, _), _ = got
+    assert [end for end, *_ in got] == [0, HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
+    _, (_, p0, b0, c0, _), (_, p1, b1, c1, _), (_, p2, b2, c2, _), (_, p3, b3, c3, _), _ = got
     assert p0 == [True, True] and c0 == [1.0, -1.0]
     assert p1 == [False, False]
     # no event enters or leaves between windows 1, 2 and 3
@@ -155,29 +159,31 @@ def test_presence_and_ci_rows_do_not_depend_on_want_bc(log, cfg):
 
 
 def test_event_entering_and_leaving_in_one_step():
-    # a->b at 0 precedes the first window, (0, 1h]: it enters and leaves in
-    # the first step, moving a and b without changing their rows
-    log = validate_log([
+    # a->b at 0 lies in the first window, (-1h, 0], which ends at t_start;
+    # it leaves in the next step, as c->d enters
+    log = validate_log(columns([
         InteractionEvent("a", "b", 0),
         InteractionEvent("c", "d", 1800),
         InteractionEvent("d", "c", 7200),
-    ]).log
+    ])).log
     rows, n = _rows(log, WindowConfig(HOUR, HOUR))
-    (_, p0, _, c0, m0), (_, p1, _, c1, m1) = rows
-    assert m0 == {0, 1, 2, 3}  # a, b, c, d
-    assert p0 == [False, False, True, True] and c0 == [0.0, 0.0, 1.0, -1.0]
-    assert m1 == {2, 3}
-    assert p1 == [False, False, True, True] and c1 == [0.0, 0.0, -1.0, 1.0]
+    (e0, p0, _, c0, m0), (_, p1, _, c1, m1), (_, p2, _, c2, m2) = rows
+    assert e0 == 0 and m0 == {0, 1}  # a, b
+    assert p0 == [True, True, False, False] and c0 == [1.0, -1.0, 0.0, 0.0]
+    assert m1 == {0, 1, 2, 3}
+    assert p1 == [False, False, True, True] and c1 == [0.0, 0.0, 1.0, -1.0]
+    assert m2 == {2, 3}
+    assert p2 == [False, False, True, True] and c2 == [0.0, 0.0, -1.0, 1.0]
     assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
 
 
 def test_actor_unchanged_while_another_moves():
     # c->d@0 stays in the 3h windows ending at 1h and 2h; a->b enters at 2h
-    log = validate_log([
+    log = validate_log(columns([
         InteractionEvent("c", "d", 0),
         InteractionEvent("a", "b", 5400),
         InteractionEvent("c", "d", 5 * HOUR),
-    ]).log
+    ])).log
     rows, n = _rows(log, WindowConfig(3 * HOUR, HOUR))
     assert [sorted(moved) for *_, moved in rows] == [[2, 3], [0, 1], [2, 3], [], [0, 1, 2, 3]]
     (_, p0, _, c0, _), (_, p1, _, c1, _) = rows[:2]
@@ -189,7 +195,7 @@ def test_actor_unchanged_while_another_moves():
 def test_kernel_call_that_leaves_every_score_equal():
     # a->b, then c->d as well: the edge set changes, every score stays 0.0,
     # and a and b do not move; the equal scores keep their row object
-    log = validate_log([InteractionEvent("a", "b", 0), InteractionEvent("c", "d", 5400)]).log
+    log = validate_log(columns([InteractionEvent("a", "b", 0), InteractionEvent("c", "d", 5400)])).log
     with _kernel_inputs() as calls:
         rows, n = _rows(log, WindowConfig(3 * HOUR, HOUR))
     assert len(calls) == 2
@@ -202,12 +208,12 @@ def test_kernel_call_that_leaves_every_score_equal():
 def test_kernel_call_changes_an_unmoved_actors_score():
     # b's events stay put while c->d enters: b's betweenness goes 1, 2, 0,
     # a maximum that only judging every actor after a kernel call sees
-    log = validate_log([
+    log = validate_log(columns([
         InteractionEvent("a", "b", 0),
         InteractionEvent("b", "c", 1800),
         InteractionEvent("c", "d", 5400),
         InteractionEvent("c", "d", 3 * HOUR),
-    ]).log
+    ])).log
     cfg = WindowConfig(3 * HOUR, HOUR)
     rows, _ = _rows(log, cfg)
     assert [(bc[1], sorted(moved)) for _, _, bc, _, moved in rows] == [
@@ -220,7 +226,7 @@ def test_kernel_call_changes_an_unmoved_actors_score():
 @given(logs)
 def test_frame_pairs_in_sorted_actor_order(log):
     streams = defaultdict(list)
-    for e in log.events:
+    for e in events_of(log):
         streams[frozenset((e.sender, e.recipient))].append(e)
     expected = []
     for key in sorted(streams, key=sorted):
@@ -265,7 +271,7 @@ def test_prt_responder_order_decides_the_float_sum():
     # d, b, a, and that weighted sum differs in the last bit
     rows = [("b", "d", 0), ("d", "b", 1), ("c", "b", 2), ("d", "b", 2), ("a", "d", 3),
             ("d", "a", 3), ("b", "c", 1000001), ("a", "d", 3000007), ("d", "a", 3000007)]
-    log = validate_log([InteractionEvent(s, r, t) for s, r, t in rows]).log
+    log = validate_log(columns([InteractionEvent(s, r, t) for s, r, t in rows])).log
     rcf = responsiveness(log, "et")
     assert list(rcf) == ["d", "a", "b"]
     weight = {"a": 4, "b": 5, "d": 7}
@@ -295,9 +301,9 @@ def test_team_signals_memory_does_not_grow_with_the_grid():
     # presence and CI rows are new, while the edge set is full after an hour
     n = 40
     actors = [f"a{i:02d}" for i in range(n)]
-    log = validate_log(
+    log = validate_log(columns(
         [InteractionEvent(actors[k % n], actors[(k + 1) % n], 60 * k) for k in range(1440)]
-    ).log
+    )).log
     minutes = _traced_peak(lambda: team_signals(log, WindowConfig(HOUR, 60)))  # 1440 windows
     hours = _traced_peak(lambda: team_signals(log, WindowConfig(HOUR, HOUR)))  # 24 windows
     assert minutes < 2 * hours

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teamsignals.model import MAX_TIMESTAMP, InteractionEvent, validate_log
+from teamsignals.model import MAX_TIMESTAMP, validate_log
 from teamsignals.windows import (
     ConfigError,
     GraphSnapshot,
@@ -19,8 +19,10 @@ from teamsignals.windows import (
 )
 
 from .oracles import (
+    InteractionEvent,
     bc_floyd_warshall,
     bc_path_enumeration,
+    columns,
     contribution_index,
     pair_distances,
     window_ends,
@@ -60,29 +62,29 @@ class TestWindowConfig:
 class TestGrid:
     def test_24h_span_hourly_steps(self):
         # 24 h of data, 12 h window, 1 h step: ends at hours 1..24 after start
-        log = validate_log([ev("a", "b", 0), ev("b", "a", 24 * HOUR)]).log
+        log = validate_log(columns([ev("a", "b", 0), ev("b", "a", 24 * HOUR)])).log
         cfg = WindowConfig(window_size=12 * HOUR, step=HOUR)
         ends = window_ends(log, cfg)
         assert ends == [k * HOUR for k in range(1, 25)]
 
     def test_offgrid_end_gets_covering_window(self):
-        log = validate_log([ev("a", "b", 0), ev("b", "a", 90 * 60)]).log
+        log = validate_log(columns([ev("a", "b", 0), ev("b", "a", 90 * 60)])).log
         cfg = WindowConfig(window_size=2 * HOUR, step=HOUR)
         assert window_ends(log, cfg) == [HOUR, 2 * HOUR]
 
     def test_single_instant_log(self):
-        log = validate_log([ev("a", "b", 500), ev("b", "a", 500)]).log
+        log = validate_log(columns([ev("a", "b", 500), ev("b", "a", 500)])).log
         cfg = WindowConfig(window_size=2 * HOUR, step=HOUR)
         assert window_ends(log, cfg) == [500 + HOUR]
 
     def test_range_start_before_first_event(self):
         # a team log keeps the full log's range, which can start before its events
-        log = replace(validate_log([ev("a", "b", 1800), ev("b", "a", 9000)]).log, t_start=0)
+        log = replace(validate_log(columns([ev("a", "b", 1800), ev("b", "a", 9000)])).log, t_start=0)
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
-        assert window_ends(log, cfg) == [HOUR, 2 * HOUR, 3 * HOUR]
+        assert window_ends(log, cfg) == [0, HOUR, 2 * HOUR, 3 * HOUR]
 
     def test_single_event_edge_multiplicity(self):
-        log = validate_log([ev("a", "b", 100), ev("a", "b", 101)]).log
+        log = validate_log(columns([ev("a", "b", 100), ev("a", "b", 101)])).log
         cfg = WindowConfig(window_size=2 * HOUR, step=HOUR)
         snaps = build_snapshots(log, cfg)
         assert len(snaps) == 1
@@ -90,19 +92,22 @@ class TestGrid:
         assert snaps[0].nodes == frozenset("ab")
 
     def test_windows_are_left_open(self):
-        log = validate_log([ev("a", "b", 0), ev("b", "a", 2 * HOUR)]).log
+        log = validate_log(columns([ev("a", "b", 0), ev("b", "a", 2 * HOUR)])).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         snaps = build_snapshots(log, cfg)
-        # event at t_start sits on the open boundary of the first window
-        assert snaps[0].edges == {}
-        assert snaps[1].edges == {("b", "a"): 1}
+        # with window_size == step the first window ends at t_start and holds
+        # the event there, which sits on the open boundary of the next one
+        assert [s.window_end for s in snaps] == [0, HOUR, 2 * HOUR]
+        assert snaps[0].edges == {("a", "b"): 1}
+        assert snaps[1].edges == {}
+        assert snaps[2].edges == {("b", "a"): 1}
 
     def test_roster_kept_when_inactive(self):
-        # c's one event falls in the second window; the first still holds c
-        log = validate_log([ev("a", "b", 0), ev("b", "a", 1800), ev("c", "a", 2 * HOUR)]).log
+        # c's one event falls in the last window; the first still holds c
+        log = validate_log(columns([ev("a", "b", 0), ev("b", "a", 1800), ev("c", "a", 2 * HOUR)])).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         snaps = build_snapshots(log, cfg)
-        assert snaps[0].edges == {("b", "a"): 1}
+        assert snaps[0].edges == {("a", "b"): 1}
         assert snaps[0].nodes == frozenset("abc")
 
 
@@ -216,20 +221,21 @@ def by_actor(rows, actors):
 class TestSeries:
     def test_alternating_directions_alternate_ci(self):
         events = [ev("a", "b", 1800), ev("b", "a", 5400), ev("a", "b", 9000), ev("b", "a", 12600)]
-        log = replace(validate_log(events).log, t_start=0, t_end=12600)
+        log = replace(validate_log(columns(events)).log, t_start=0, t_end=12600)
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         ws = by_actor(list(series(log, cfg, "ci")), "ab")
-        assert ws["a"][0] == [1.0, -1.0, 1.0, -1.0]
-        assert ws["b"][0] == [-1.0, 1.0, -1.0, 1.0]
-        assert all(ws["a"][1])
+        # the first window ends at t_start = 0, before any event
+        assert ws["a"][0] == [0.0, 1.0, -1.0, 1.0, -1.0]
+        assert ws["b"][0] == [0.0, -1.0, 1.0, -1.0, 1.0]
+        assert ws["a"][1] == [False, True, True, True, True]
 
     def test_silent_actor_zero_and_absent(self):
-        # mute's one event sits at the log start, on the first window's open edge
-        log = validate_log([ev("mute", "a", 100), ev("a", "b", 100), ev("b", "a", 7300)]).log
+        # mute's one event sits at the log start, in the window ending there only
+        log = validate_log(columns([ev("mute", "a", 100), ev("a", "b", 100), ev("b", "a", 7300)])).log
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         values, presence = by_actor(list(series(log, cfg, "bc")), log.names)["mute"]
         assert set(values) == {0.0}
-        assert not any(presence)
+        assert presence == [True, False, False]
 
     def test_ci_range_and_presence_mask(self):
         rng = random.Random(3)
@@ -237,7 +243,7 @@ class TestSeries:
             ev(f"u{rng.randint(0, 4)}", f"u{rng.randint(5, 9)}", rng.randint(0, 40) * 900)
             for _ in range(60)
         ]
-        log = validate_log(events).log
+        log = validate_log(columns(events)).log
         for _, presence, values in series(log, WindowConfig(2 * HOUR, HOUR), "ci"):
             for value, present in zip(values, presence):
                 assert -1.0 <= value <= 1.0
@@ -248,7 +254,7 @@ class TestSeries:
 
     def test_deterministic(self):
         events = [ev("a", "b", 0), ev("b", "c", 1800), ev("c", "a", 4000)]
-        log = validate_log(events).log
+        log = validate_log(columns(events)).log
         cfg = WindowConfig(2 * HOUR, HOUR)
         assert list(series(log, cfg, "bc")) == list(series(log, cfg, "bc"))
 
@@ -257,19 +263,19 @@ class TestSeries:
         relabeled = [ev(e.sender.replace("a", "z"), e.recipient.replace("a", "z"), e.timestamp) for e in events]
         cfg = WindowConfig(2 * HOUR, HOUR)
         for metric in ("bc", "ci"):
-            ours = list(series(validate_log(events).log, cfg, metric))
-            theirs = list(series(validate_log(relabeled).log, cfg, metric))
+            ours = list(series(validate_log(columns(events)).log, cfg, metric))
+            theirs = list(series(validate_log(columns(relabeled)).log, cfg, metric))
             assert len(ours) == len(theirs)
             for (_, _, mine), (_, _, other) in zip(ours, theirs):
                 assert sorted(mine) == sorted(other)
 
     def test_unknown_metric(self):
-        log = validate_log([ev("a", "b", 0), ev("b", "a", 10)]).log
+        log = validate_log(columns([ev("a", "b", 0), ev("b", "a", 10)])).log
         with pytest.raises(ConfigError):
             series(log, WindowConfig(HOUR, HOUR), "pagerank")
 
     def test_grid_past_max_timestamp_raises_before_the_first_row(self):
-        log = validate_log([ev("a", "b", MAX_TIMESTAMP - 10), ev("b", "a", MAX_TIMESTAMP)]).log
+        log = validate_log(columns([ev("a", "b", MAX_TIMESTAMP - 10), ev("b", "a", MAX_TIMESTAMP)])).log
         with pytest.raises(ConfigError):
             series(log, WindowConfig(HOUR, HOUR), "bc")
 
@@ -277,7 +283,7 @@ class TestSeries:
 # logs whose range starts at or up to 1000 s before their first event, as a team log's can
 grid_logs = st.builds(
     lambda a, b, lead: replace(
-        validate_log([ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)]).log,
+        validate_log(columns([ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)])).log,
         t_start=min(a, b) - lead,
     ),
     st.integers(0, 10_000),
@@ -294,13 +300,20 @@ grid_cfgs = st.builds(
 @given(grid_logs, grid_cfgs)
 def test_window_grid_properties(log, cfg):
     ends = window_ends(log, cfg)
-    # a contiguous grid strictly after the start, reaching the end
+    # a contiguous grid from the start, reaching the end
     assert all(b - a == cfg.step for a, b in zip(ends, ends[1:]))
-    assert ends[0] > log.t_start
-    assert ends[0] - cfg.step <= log.t_start
+    # the first end is t_start itself when windows tile, else one step after it
+    assert ends[0] == log.t_start + (cfg.step if cfg.window_size > cfg.step else 0)
     assert ends[-1] >= log.t_end or len(ends) == 1
     assert ends[-1] - cfg.step < log.t_end or len(ends) == 1
     assert all((end - log.t_start) % cfg.step == 0 for end in ends)
-    # windows jointly cover everything strictly inside the range
+    # windows jointly cover the whole closed range, t_start included
     covered_lo = ends[0] - cfg.window_size
-    assert covered_lo <= log.t_start
+    assert covered_lo < log.t_start
+
+
+@given(grid_logs, grid_cfgs)
+def test_every_event_lies_in_a_window(log, cfg):
+    ends = window_ends(log, cfg)
+    for t in log.stamps:
+        assert any(end - cfg.window_size < t <= end for end in ends), t
