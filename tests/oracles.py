@@ -26,8 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -64,6 +67,35 @@ def events_of(log) -> tuple[InteractionEvent, ...]:
     names = log.names
     return tuple(InteractionEvent(names[s], names[r], t)
                  for t, s, r in zip(log.stamps, log.senders, log.recipients))
+
+
+EVENT_FIELDS = frozenset({"sender", "recipient", "timestamp"})
+
+
+@contextmanager
+def event_objects_built():
+    """Collects, while the block runs, every constructor called with one event's fields.
+
+    Any __init__ or __new__ whose parameters include sender, recipient and
+    timestamp builds a per-event object; the yielded list gets its file and line
+    on each call. Calls in worker processes are not seen.
+    """
+    built: list[str] = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in ("__init__", "__new__"):
+            params = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+            if EVENT_FIELDS <= set(params):
+                built.append(f"{code.co_filename}:{code.co_firstlineno}")
+
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        yield built
+    finally:
+        threading.setprofile(None)
+        sys.setprofile(None)
 
 
 def bc_path_enumeration(n: int, edges: set[tuple[int, int]]) -> list[float]:

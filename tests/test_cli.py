@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import random
 import warnings
 
 import pytest
@@ -10,6 +11,8 @@ from teamsignals.ingest import parse_events, parse_teams
 from teamsignals.model import partition_by_team, validate_log
 from teamsignals.stats import SIGNAL_FIELDS
 from teamsignals.synth import generate, load_scenario_file
+
+from .oracles import InteractionEvent, event_objects_built
 
 EVENTS_HEADER = "timestamp,sender,recipients\n"
 
@@ -208,6 +211,42 @@ class TestStderr:
         with pytest.warns(DeprecationWarning, match="an old call"):  # passed on, not swallowed
             assert main(["validate", "--events", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestNoEventObjects:
+    def test_no_command_builds_an_interaction_event(self, tmp_path, capsys):
+        rng = random.Random(7)
+        events = write(tmp_path, "events.csv", EVENTS_HEADER + "".join(
+            f"{i * 300},{a},{b}\n" for i, (a, b) in
+            enumerate(rng.sample(["u0", "u1", "u2", "u3", "u4"], 2) for _ in range(300))
+        ))
+        teams = write(tmp_path, "teams.csv", "team_id,member\n" + "".join(
+            f"{team},{member}\n"
+            for team, members in (("g1", "u0 u1 u2"), ("g2", "u2 u3 u4"), ("g3", "u3 u4 u0"))
+            for member in members.split()
+        ))
+        depvars = write(tmp_path, "depvars.csv",
+                        "team_id,variable_name,value\ng1,perf,1\ng2,perf,3\ng3,perf,2\n")
+        scenario = write(tmp_path, "scenario.json", json.dumps({"teams": [
+            {"team_id": "s1", "n_actors": 3, "duration": "1d", "mean_event_rate": 12.0,
+             "rotation_period": "6h", "reply_delay": {"kind": "uniform", "lo": 30, "hi": 90},
+             "seed": 3},
+        ]}))
+        common = ["--events", str(events), "--teams", str(teams), "--window", "2h", "--step", "1h",
+                  "--out", str(tmp_path / "o")]
+        with event_objects_built() as built:
+            InteractionEvent("u0", "u1", 0)  # the guard sees the object form
+            assert len(built) == 1
+            for argv in (
+                ["validate", "--events", str(events)],
+                ["metrics", *common, "--jobs", "1"],
+                ["correlate", *common, "--depvars", str(depvars)],
+                ["series", *common, "--team", "g1"],
+                ["surface", *common, "--team", "g2", "--metric", "ci"],
+                ["synth", "--scenario", str(scenario), "--out", str(tmp_path / "s")],
+            ):
+                assert main(argv) == 0, capsys.readouterr().err
+        assert built[1:] == []
 
 
 class TestSeries:

@@ -15,6 +15,7 @@ from .oracles import (
     brandes_exact,
     columns,
     count_extrema,
+    event_objects_built,
     events_of,
     extrema_scan,
     reversal_count,
@@ -290,6 +291,13 @@ class TestTeamSignals:
         assert sig.rc == 4.0
         assert sig.prt_et == 3600.0
         assert sig.prt_fn == 2.0
+
+    def test_reads_the_columns_only(self):
+        log = validate_log(columns([ev("a", "b", 0), ev("b", "c", HOUR), ev("c", "a", 2 * HOUR)])).log
+        assert not hasattr(EventLog, "events")
+        with event_objects_built() as built:
+            assert team_signals(log, WindowConfig(HOUR, HOUR)).n_actors == 3
+        assert built == []
 
     def test_prt_et_scales_with_time(self):
         # stretching timestamps by c scales PRT-ET by c and nothing else
