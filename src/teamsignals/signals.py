@@ -1,22 +1,25 @@
 """The three longitudinal team signals: RL, RC and prompt response time.
 
-Rotating Leadership (RL) and Rotating Contribution (RC) count local extrema
-in each actor's windowed betweenness / contribution-index series and average
-the counts over the team. Prompt Response Time (PRT) segments each actor
-pair's event stream into communication frames and aggregates per-responder
-frame statistics into a communication-weighted team mean. A frame is a run
-of messages from one actor of a pair to the other, up to the other's reply:
-the reply closes it, as its last event, and opens the next frame in the
-opposite direction. Every signal is computed from a team log, the events
-model.restrict_to_team or model.partition_by_team kept for a roster, over
-that log's own actors. team_signals gets all of them from the team log's
-int columns as they are: PRT is one pass over them with integer state, and
-each window step judges RL and RC only for the actors its events moved (RL
-for every actor when betweenness changed).
+Rotating Leadership (RL) and Rotating Contribution (RC) count local extrema in
+each actor's windowed betweenness / contribution-index series and average the
+counts over the team. Prompt Response Time (PRT) segments each actor pair's
+event stream into communication frames and aggregates per-responder frame
+statistics into a communication-weighted team mean, exact and rounded once. A
+frame is a run of messages from one actor of a pair to the other, up to the
+other's reply: the reply closes it, as its last event, and opens the next
+frame in the opposite direction. Events within one second are in sender-name,
+then recipient-name order, so when both actors of a pair send in one second,
+the names decide which one replies. Every signal is computed from a team log,
+the events model.restrict_to_team or model.partition_by_team kept for a
+roster, over that log's own actors. team_signals gets all of them from the
+team log's int columns as they are: PRT is one pass over them with integer
+state, and each window step judges RL and RC only for the actors its events
+moved (RL for every actor when betweenness changed).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
@@ -99,35 +102,22 @@ def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]])
     return counter.total / len(counter.last)
 
 
-def _sum_left(values: Iterable[float]) -> float:
-    """Float sum in plain left-to-right order, the same on every Python.
-
-    From Python 3.12 the built-in sum() compensates float rounding, so its
-    result can differ from 3.10/3.11 in the last bit (sum([0.1] * 10)).
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-def _response_sums(log: EventLog) -> tuple[dict, dict, Counter, int]:
-    """RCF "et" and "fn" by actor id, event weights and closed frames, in one pass.
+def _response_sums(log: EventLog) -> tuple[float | None, float | None, int]:
+    """PRT-ET, PRT-FN and the closed-frame count, in one integer pass.
 
     With n the number of the log's actors, per pair key u * n + v (u < v)
     the pass keeps the open frame's sender, first stamp and event count; per
-    responder, integer sums. The RCF dicts are in
-    _weighted_mean's float order: each responder's first closed frame by
-    (pair key, time), as a pair-by-pair segmentation meets them. An integer
-    sum equals a float sum of its terms while below 2**53.
+    responder, its closed frames F and their summed elapsed times or event
+    counts S. Each mean, sum(w * S / F) / sum(w) with w the events a
+    responder appears in, is summed exactly in integers over the lcm of the
+    Fs and rounded once, so no order of the responders enters it.
     """
     stamps, us, vs = log.stamps, log.senders, log.recipients
-    n, m = len(log.names), len(stamps)
+    n = len(log.names)
     elapsed, events, frames = [0] * n, [0] * n, [0] * n
-    first = [0] * n  # pair key * m + event number of each responder's first closed frame
     # pair key -> (sender, first stamp, events); tuples, as lists take a third more memory
     open_frames: dict[int, tuple[int, int, int]] = {}
-    for i, (t, u, v) in enumerate(zip(stamps, us, vs)):
+    for t, u, v in zip(stamps, us, vs):
         key = u * n + v if u < v else v * n + u
         frame = open_frames.get(key)
         if frame is None or frame[0] == u:
@@ -136,23 +126,19 @@ def _response_sums(log: EventLog) -> tuple[dict, dict, Counter, int]:
         # u replies: closes the open frame and opens the next one
         elapsed[u] += t - frame[1]
         events[u] += frame[2] + 1
-        if not frames[u] or key * m + i < first[u]:
-            first[u] = key * m + i
         frames[u] += 1
         open_frames[key] = (u, t, 1)
-    order = sorted((u for u in range(n) if frames[u]), key=first.__getitem__)
+    n_closed = sum(frames)
+    if not n_closed:
+        return None, None, 0
     weight = Counter(us)  # events each index appears in, as sender or recipient
     weight.update(vs)
-    rcf_et = {u: elapsed[u] / frames[u] for u in order}
-    return rcf_et, {u: events[u] / frames[u] for u in order}, weight, sum(frames)
-
-
-def _weighted_mean(rcf: dict[int, float], weight: dict[int, int]) -> float | None:
-    if not rcf:
-        return None
-    num = _sum_left(value * weight[a] for a, value in rcf.items())
-    den = sum(weight[a] for a in rcf)
-    return num / den
+    lcm = math.lcm(*filter(None, frames))
+    # responder -> w * lcm / F: each mean is sum(S * scale) / (lcm * sum(w))
+    scale = {u: weight[u] * (lcm // f) for u, f in enumerate(frames) if f}
+    den = lcm * sum(weight[u] for u in scale)
+    prt_et = sum(elapsed[u] * k for u, k in scale.items()) / den
+    return prt_et, sum(events[u] * k for u, k in scale.items()) / den, n_closed
 
 
 def prompt_response_time(log: EventLog, variant: ResponseVariant) -> float | None:
@@ -167,8 +153,8 @@ def prompt_response_time(log: EventLog, variant: ResponseVariant) -> float | Non
     """
     if variant not in ("et", "fn"):
         raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
-    rcf_et, rcf_fn, weight, _ = _response_sums(log)
-    return _weighted_mean(rcf_et if variant == "et" else rcf_fn, weight)
+    prt_et, prt_fn, _ = _response_sums(log)
+    return prt_et if variant == "et" else prt_fn
 
 
 def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
@@ -182,7 +168,7 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     current window is held, and only the actors it moved are judged.
     """
     n = len(team_log.names)
-    rcf_et, rcf_fn, weight, n_closed = _response_sums(team_log)
+    prt_et, prt_fn, n_closed = _response_sums(team_log)
     rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
     scores = None
     for _end, presence, bc_row, ci_row, moved in _window_rows(team_log, cfg, True):
@@ -190,11 +176,5 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
             rl.feed(bc_row, presence, moved if bc_row is scores else None)
             rc.feed(ci_row, presence, moved)
             scores = bc_row
-    return TeamSignals(
-        rl=rl.total / n,
-        rc=rc.total / n,
-        prt_et=_weighted_mean(rcf_et, weight),
-        prt_fn=_weighted_mean(rcf_fn, weight),
-        n_actors=n,
-        n_closed_frames=n_closed,
-    )
+    return TeamSignals(rl=rl.total / n, rc=rc.total / n, prt_et=prt_et, prt_fn=prt_fn,
+                       n_actors=n, n_closed_frames=n_closed)

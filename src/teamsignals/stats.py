@@ -2,7 +2,10 @@
 
 A Pearson test has integer degrees of freedom, so its two-tailed p is a
 finite series in r (Abramowitz & Stegun 26.7.3-4), with an absolute error
-of at most 1e-13 for n <= 5000: no iteration, no stats package.
+of at most 1e-13 for n <= 5000: no iteration, no stats package. Pearson's
+sums are correctly rounded (math.fsum), over samples scaled by a power of
+two, so r is the same on every Python and values of any finite magnitude
+neither overflow nor underflow.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .signals import TeamSignals, _sum_left
+from .signals import TeamSignals
 
 # signal name in correlations.csv -> TeamSignals field, in output order
 SIGNAL_FIELDS = {"RL": "rl", "RC": "rc", "PRT_FN": "prt_fn", "PRT_ET": "prt_et"}
@@ -30,6 +33,15 @@ class NoOverlapError(ValueError):
     """No (variable, signal) cell had enough jointly-defined teams."""
 
 
+def _unit_scaled(values: Sequence[float]) -> list[float]:
+    """values times the power of two that puts the largest magnitude in [0.5, 1).
+
+    Exact while every nonzero value stays normal, so r keeps its bits.
+    """
+    shift = -math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, shift) for v in values]
+
+
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson product-moment correlation of two equal-length vectors."""
     if len(x) != len(y):
@@ -37,13 +49,14 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 3:
         raise InsufficientDataError(f"need at least 3 observations, got {n}")
-    mx = _sum_left(x) / n
-    my = _sum_left(y) / n
-    sxx = _sum_left((v - mx) ** 2 for v in x)
-    syy = _sum_left((v - my) ** 2 for v in y)
+    x, y = _unit_scaled(x), _unit_scaled(y)
+    mx = math.fsum(x) / n
+    my = math.fsum(y) / n
+    sxx = math.fsum((v - mx) ** 2 for v in x)
+    syy = math.fsum((v - my) ** 2 for v in y)
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateSampleError("zero variance in sample")
-    sxy = _sum_left((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 

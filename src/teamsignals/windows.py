@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 from .model import MAX_TIMESTAMP, ActorId, EventLog
@@ -95,7 +95,7 @@ class GraphSnapshot:
 
     window_end: int
     nodes: frozenset[ActorId]
-    edges: dict[tuple[ActorId, ActorId], int] = field(default_factory=dict)
+    edges: dict[tuple[ActorId, ActorId], int]
 
 
 def _grid(log: EventLog, cfg: WindowConfig) -> range:

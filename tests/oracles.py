@@ -329,30 +329,24 @@ def closed_frames(log) -> list:
 
 
 def prt_from_frames(log, variant: str):
-    """PRT from the frame list: per-responder means in first-closed-frame order.
+    """PRT from the frame list: the weighted mean of per-responder means, exactly.
 
-    Each responder's mean is a left-to-right float sum over its closed
-    frames; the weighted mean then sums value * weight left to right, in the
-    order the responders first close a frame, with weight the number of
-    events the responder appears in. None when no frame closes.
+    Each responder's mean over its closed frames is a Fraction, weighted by
+    the number of events the responder appears in; the weighted mean is
+    rounded to a float once. None when no frame closes.
     """
     samples: dict = {}
     for frame in closed_frames(log):
         value = frame.elapsed_time if variant == "et" else frame.event_count
-        samples.setdefault(frame.target, []).append(float(value))
+        samples.setdefault(frame.target, []).append(value)
     if not samples:
         return None
     weight: Counter = Counter()
     for e in events_of(log):
         weight[e.sender] += 1
         weight[e.recipient] += 1
-    num = 0.0
-    for actor, values in samples.items():
-        total = 0.0
-        for value in values:
-            total += value
-        num += total / len(values) * weight[actor]
-    return num / sum(weight[a] for a in samples)
+    num = sum(Fraction(sum(values), len(values)) * weight[a] for a, values in samples.items())
+    return float(num / sum(weight[a] for a in samples))
 
 
 def event_log(events, t_start: int, t_end: int) -> EventLog:

@@ -322,8 +322,9 @@ class TestCorrelate:
         assert rc == 2
         assert "depvars" in capsys.readouterr().err
 
-    def test_planted_linear_dependency(self, tmp_path):
-        # 4 synthetic teams; depvar is an exact linear function of RL
+    @staticmethod
+    def four_teams(tmp_path):
+        """Options that read 4 synthetic teams, t0 and t2 rotating, at 12h/3h windows."""
         scenario = {
             "teams": [
                 {"team_id": f"t{i}", "n_actors": 4 + i, "duration": "4d",
@@ -336,10 +337,13 @@ class TestCorrelate:
         scen_path = write(tmp_path, "scenario.json", json.dumps(scenario))
         synth_dir = tmp_path / "synth"
         assert main(["synth", "--scenario", str(scen_path), "--out", str(synth_dir)]) == 0
-
-        metrics_dir = tmp_path / "metrics"
-        base = ["--events", str(synth_dir / "events.csv"), "--teams", str(synth_dir / "teams.csv"),
+        return ["--events", str(synth_dir / "events.csv"), "--teams", str(synth_dir / "teams.csv"),
                 "--window", "12h", "--step", "3h"]
+
+    def test_planted_linear_dependency(self, tmp_path):
+        # depvar is an exact linear function of RL
+        base = self.four_teams(tmp_path)
+        metrics_dir = tmp_path / "metrics"
         assert main(["metrics", *base, "--out", str(metrics_dir)]) == 0
         rows = (metrics_dir / "signals.csv").read_text().splitlines()[1:]
         rl_by_team = {row.split(",")[0]: float(row.split(",")[3]) for row in rows}
@@ -359,6 +363,21 @@ class TestCorrelate:
         cols = rl_row.split(",")
         assert float(cols[2]) >= 0.9
         assert cols[4] == "4"
+
+    @pytest.mark.parametrize("exponent", ["e200", "e-320"])
+    def test_depvars_of_any_finite_magnitude(self, tmp_path, exponent):
+        # unscaled, Pearson's sums overflow at 1e200 (an internal error) and
+        # underflow to zero variance for subnormal 1e-320 (no cells, exit 2)
+        base = self.four_teams(tmp_path)
+        written = []
+        for suffix in ("", exponent):
+            depvars = write(tmp_path, f"depvars{suffix}.csv", "team_id,variable_name,value\n"
+                            + "".join(f"t{i},y,{v}{suffix}\n" for i, v in enumerate([1, 2, 3, 5])))
+            out = tmp_path / f"corr{suffix}"
+            assert main(["correlate", *base, "--depvars", str(depvars), "--out", str(out)]) == 0
+            written.append((out / "correlations.csv").read_text())
+        assert written[1] == written[0]
+        assert len(written[0].splitlines()) == 1 + len(SIGNAL_FIELDS)
 
     def test_jobs_flag_equivalent(self, tmp_path):
         scenario = {

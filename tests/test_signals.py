@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, validate_log
-from teamsignals.signals import _response_sums, prompt_response_time, rotating_signal, team_signals
+from teamsignals.signals import prompt_response_time, rotating_signal, team_signals
 from teamsignals.windows import WindowConfig, build_snapshots, series
 
 from .oracles import (
@@ -202,20 +202,15 @@ def test_frames_match_reversal_oracle():
             assert nxt.first_event == prev.last_event
 
 
-def responsiveness(log, variant):
-    """RCF by actor name, from the PRT pass's per-responder sums, in their float-sum order."""
-    rcf_et, rcf_fn, _, _ = _response_sums(log)
-    return {log.names[u]: x for u, x in (rcf_et if variant == "et" else rcf_fn).items()}
-
-
 class TestResponsiveness:
+    """An actor's RCF, read as the PRT of a log in which it alone replies."""
+
     def test_mean_elapsed_time(self):
         log = validate_log(columns(
             [ev("x", "y", 0), ev("y", "x", 10), ev("w", "y", 100), ev("y", "w", 130)]
         )).log
-        rcf = responsiveness(log, "et")
-        assert rcf["y"] == 20.0
-        assert "x" not in rcf and "w" not in rcf
+        assert prompt_response_time(log, "et") == 20.0
+        assert team_signals(log, WindowConfig(HOUR, HOUR)).n_closed_frames == 2  # both y's
 
     def test_mean_nudges(self):
         log = validate_log(columns(
@@ -224,11 +219,11 @@ class TestResponsiveness:
                 ev("w", "y", 100), ev("w", "y", 110), ev("w", "y", 120), ev("y", "w", 130),
             ]
         )).log
-        assert responsiveness(log, "fn")["y"] == 3.0
+        assert prompt_response_time(log, "fn") == 3.0
 
     def test_never_replied_undefined(self):
         log = validate_log(columns([ev("x", "y", 0)])).log
-        assert responsiveness(log, "et") == {}
+        assert prompt_response_time(log, "et") is None
 
     def test_unknown_variant(self):
         log = validate_log(columns([ev("x", "y", 0)])).log

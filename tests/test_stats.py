@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teamsignals.signals import TeamSignals, _sum_left
+from teamsignals.signals import TeamSignals
 from teamsignals.stats import (
     CorrelationCell,
     DegenerateSampleError,
@@ -130,11 +130,18 @@ class TestPearsonR:
         assert math.isclose(base, scaled, abs_tol=1e-9)
 
 
-def test_float_sums_run_left_to_right():
-    # the built-in sum() gives 1.0 here from Python 3.12 on, 0.9999999999999999 before
-    assert _sum_left([0.1] * 10) == 0.9999999999999999
-    assert _sum_left(v for v in [1e16, 1.0, -1e16]) == 0.0
-    assert _sum_left([]) == 0.0
+# values of magnitude 1e-3 to 1e3, or 0: ldexp by up to 2**±1000 keeps them normal
+values = st.integers(-10**6, 10**6).map(lambda v: v / 1000)
+
+
+@given(st.lists(st.tuples(values, values), min_size=3, max_size=12), st.integers(-1000, 1000))
+def test_power_of_two_scaling_keeps_r(pairs, k):
+    # Pearson's sums of squares overflow from about 1e154, and underflow to
+    # zero variance for subnormal values, unless pearson_r rescales first
+    x, y = map(list, zip(*pairs))
+    if len(set(x)) < 2 or len(set(y)) < 2:
+        return
+    assert pearson_r(x, [math.ldexp(v, k) for v in y]) == pearson_r(x, y)
 
 
 class TestPValue:

@@ -4,8 +4,8 @@ Each command runs with PYTHONPATH=src under the interpreter running the
 tests and under each other version from 3.10 to 3.13 that is installed
 (pyenv's versions directory or PATH); every output file, stdout, stderr and
 exit code must match byte for byte. The CLI rounds what it prints, so a
-last-bit difference rarely shows there; FLOATS prints the sums behind
-pearson_r and PRT, p_value's series, and betweenness scores, in full. A
+last-bit difference rarely shows there; FLOATS prints pearson_r, both
+PRT variants, p_value's series, and betweenness scores, in full. A
 version that is not installed is skipped by name.
 """
 
@@ -47,12 +47,14 @@ COMMANDS = [
 ]
 
 # floats printed in full: pearson_r, its p_value (n from 3 to 30, so both
-# parities of n - 2) and the PRT mean on seeded random samples, and
-# betweenness on seeded random graphs and on a layered graph with more than
-# 2**53 shortest paths, whose counts mix floats and ints
+# parities of n - 2) and both PRT variants on seeded random samples and
+# logs, and betweenness on seeded random graphs and on a layered graph with
+# more than 2**53 shortest paths, whose counts mix floats and ints
 FLOATS = """
 import random
-from teamsignals.signals import _weighted_mean
+from array import array
+from teamsignals.model import EventColumns, validate_log
+from teamsignals.signals import prompt_response_time
 from teamsignals.stats import p_value, pearson_r
 from teamsignals.windows import brandes_betweenness
 from tests.graphs import layered_graph, random_graph
@@ -61,10 +63,14 @@ for _ in range(200):
     n = 3 + int(rng.random() * 28)
     x = [rng.random() for _ in range(n)]
     y = [rng.random() for _ in range(n)]
-    rcf = {i: v * 1e4 for i, v in enumerate(x)}
-    weight = {i: 1 + int(v * 50) for i, v in enumerate(y)}
     r = pearson_r(x, y)
-    print(repr(r), repr(p_value(r, n)), repr(_weighted_mean(rcf, weight)))
+    senders = [int(rng.random() * 8) for _ in range(2 * n)]
+    log = validate_log(EventColumns(
+        tuple("abcdefgh"), array("q", [int(rng.random() * 1e9) for _ in senders]),
+        array("i", senders), array("i", [(s + 1 + int(rng.random() * 7)) % 8 for s in senders]),
+    )).log
+    print(repr(r), repr(p_value(r, n)), repr(prompt_response_time(log, "et")),
+          repr(prompt_response_time(log, "fn")))
 for _ in range(50):
     n = 2 + int(rng.random() * 39)
     print(repr(brandes_betweenness(random_graph(rng, n, 0.03 + rng.random() * 0.3))))
