@@ -5,7 +5,9 @@ numeric output uses fixed decimals and rows are sorted, so repeated runs
 over the same inputs are byte-identical regardless of --jobs. Exit codes:
 0 success, 1 internal error, 2 user/input error. A command checks its
 options and reads its small files (--teams, --depvars) before the events
-file, so a bad one fails without a parse of the whole log.
+file, so a bad one fails without a parse of the whole log. metrics and
+correlate share one team pipeline, _team_options then _team_signals, whose
+TeamSignals come in roster order: parse_teams sorts it by team id.
 
 A command warns with a UserWarning and fails with an exception; only main
 writes stderr: a `warning: ...` line per warning, in the order raised,
@@ -35,7 +37,6 @@ from .model import (
     CleanedLog,
     EmptyLogError,
     EventColumns,
-    EventLog,
     Team,
     partition_by_team,
     restrict_to_team,
@@ -72,15 +73,6 @@ def _load_log(args) -> CleanedLog:
     return validate_log(parse_events(args.events, args.format))
 
 
-def _load_teams(args) -> list[Team]:
-    return parse_teams(args.teams) if args.teams else [Team("ALL")]
-
-
-def _check_jobs(args) -> None:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-
-
 def _window_config(args) -> WindowConfig:
     return WindowConfig(parse_duration(args.window), parse_duration(args.step))
 
@@ -107,10 +99,19 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _compute_all_signals(
-    log: EventLog, teams: list[Team], cfg: WindowConfig, jobs: int
-) -> tuple[dict[str, TeamSignals], dict[str, int], list[str]]:
-    """Per-team signals, event counts, and ids of teams with empty logs."""
+def _team_options(args) -> tuple[list[Team], WindowConfig]:
+    """metrics' and correlate's options, checked before the events file: --jobs, roster, grid."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    teams = parse_teams(args.teams) if args.teams else [Team("ALL")]
+    return teams, _window_config(args)
+
+
+def _team_signals(
+    args, teams: list[Team], cfg: WindowConfig
+) -> tuple[dict[str, TeamSignals], list[str]]:
+    """Each team's signals, and the ids of teams with no events, both in roster order."""
+    log = _load_log(args).log
     n_windows = len(_grid(log, cfg))
     if n_windows < MIN_PRESENCE_RUN:
         # every team log spans the full log's range, so shares this grid
@@ -119,26 +120,18 @@ def _compute_all_signals(
             f"{MIN_PRESENCE_RUN}: RL and RC are 0 for every team"
         )
     team_logs, skipped = partition_by_team(log, teams)
-    team_ids = sorted(team_logs)
-    pending = [team_logs[team_id] for team_id in team_ids]
-    if jobs > 1 and len(pending) > 1:
+    if args.jobs > 1 and len(team_logs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            results = list(pool.map(team_signals, pending, repeat(cfg)))
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(team_logs))) as pool:
+            results = list(pool.map(team_signals, team_logs.values(), repeat(cfg)))
     else:
-        results = map(team_signals, pending, repeat(cfg))
-    signals = dict(zip(team_ids, results))
-    n_events = {team_id: len(team_logs[team_id]) for team_id in team_ids}
-    return signals, n_events, sorted(skipped)
+        results = map(team_signals, team_logs.values(), repeat(cfg))
+    return dict(zip(team_logs, results)), skipped
 
 
 def cmd_metrics(args) -> int:
-    _check_jobs(args)
-    teams = _load_teams(args)
-    cfg = _window_config(args)
-    log = _load_log(args).log
-    signals, n_events, skipped = _compute_all_signals(log, teams, cfg, args.jobs)
+    signals, skipped = _team_signals(args, *_team_options(args))
     for team_id in skipped:
         warnings.warn(f"team {team_id!r} has no events, row skipped")
     if not signals:
@@ -147,9 +140,9 @@ def cmd_metrics(args) -> int:
         Path(args.out) / "signals.csv",
         ["team_id", "n_actors", "n_events", "rl", "rc", "prt_fn", "prt_et_seconds", "n_closed_frames"],
         (
-            [team_id, s.n_actors, n_events[team_id], _fmt(s.rl), _fmt(s.rc),
+            [team_id, s.n_actors, s.n_events, _fmt(s.rl), _fmt(s.rc),
              _fmt(s.prt_fn), _fmt(s.prt_et), s.n_closed_frames]
-            for team_id, s in sorted(signals.items())
+            for team_id, s in signals.items()
         ),
     )
     return 0
@@ -191,12 +184,9 @@ def cmd_surface(args) -> int:
 def cmd_correlate(args) -> int:
     if not args.depvars:
         raise ConfigError("correlate requires --depvars")
-    _check_jobs(args)
-    teams = _load_teams(args)
-    cfg = _window_config(args)
+    teams, cfg = _team_options(args)
     depvars = parse_dependent_variables(args.depvars)
-    log = _load_log(args).log
-    signals, _, skipped = _compute_all_signals(log, teams, cfg, args.jobs)
+    signals, skipped = _team_signals(args, teams, cfg)
     for team_id in skipped:
         warnings.warn(f"team {team_id!r} has no events, excluded")
     cells = correlate(signals, depvars)

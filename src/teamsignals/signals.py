@@ -36,10 +36,10 @@ MIN_PRESENCE_RUN = 3
 
 @dataclass(frozen=True)
 class TeamSignals:
-    """All four computed signals for one team.
+    """All four computed signals for one team, with the counts behind them.
 
     prt_et is in seconds; prt_et/prt_fn are None exactly when the team has
-    no closed frames.
+    no closed frames. n_actors and n_events count the team log's actors and events.
     """
 
     rl: float
@@ -47,6 +47,7 @@ class TeamSignals:
     prt_et: float | None
     prt_fn: float | None
     n_actors: int
+    n_events: int
     n_closed_frames: int
 
 
@@ -177,4 +178,4 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
             rc.feed(ci_row, presence, moved)
             scores = bc_row
     return TeamSignals(rl=rl.total / n, rc=rc.total / n, prt_et=prt_et, prt_fn=prt_fn,
-                       n_actors=n, n_closed_frames=n_closed)
+                       n_actors=n, n_events=len(team_log), n_closed_frames=n_closed)

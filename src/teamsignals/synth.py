@@ -19,7 +19,7 @@ import json
 import math
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import EventColumns, EventLog, validate_log
@@ -151,13 +151,22 @@ def _duration(key: str, value) -> int:
     return _integer(key, value, 'a JSON integer of seconds or a string such as "16d"')
 
 
+def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Raise ConfigError at obj's first key, in file order, that is not in allowed."""
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def _parse_reply_delay(obj) -> ReplyDelay:
     if not isinstance(obj, dict):
         raise ConfigError(f"reply_delay must be a JSON object, got {_shown(obj)}")
     kind = obj.get("kind")
     if kind == "fixed":
+        _check_keys(obj, ("kind", "seconds"), "reply_delay")
         return ReplyDelay.fixed(_number("reply_delay.seconds", obj["seconds"]))
     if kind == "uniform":
+        _check_keys(obj, ("kind", "lo", "hi"), "reply_delay")
         lo, hi = _number("reply_delay.lo", obj["lo"]), _number("reply_delay.hi", obj["hi"])
         return ReplyDelay.uniform(lo, hi)
     raise ConfigError(f"reply_delay kind must be fixed or uniform, got {kind!r}")
@@ -174,9 +183,10 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     actors are named "{team_id}.aNNN", and events.csv is read back
     lowercased and split on ";"), reply_delay a JSON object,
     n_actors and seed JSON integers and the rates, shares and delays JSON
-    numbers, never bools or strings. Any file that is not such a layout
-    raises ConfigError naming the file (and the team and key of a bad
-    value).
+    numbers, never bools or strings. A key outside this layout is an error,
+    not ignored. Any file that is not such a layout raises ConfigError
+    naming the file (and the team and key of a bad value, or the first
+    unknown key in file order).
     """
     try:
         with open(Path(path), encoding="utf-8") as fh:
@@ -186,8 +196,10 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     entries = data.get("teams") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: scenario file needs a non-empty 'teams' list")
+    _check_keys(data, ("teams",), str(path))
     out: list[tuple[str, SynthScenario]] = []
     seen: set[str] = set()
+    team_keys = ("team_id", *(f.name for f in fields(SynthScenario)))
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: each team must be a JSON object")
@@ -203,6 +215,7 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
         if team_id in seen:
             raise ConfigError(f"{path}: duplicate team_id {team_id!r}")
         seen.add(team_id)
+        _check_keys(entry, team_keys, f"{path}: team {team_id!r}")
         period = entry.get("rotation_period")
         try:
             scenario = SynthScenario(

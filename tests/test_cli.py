@@ -275,6 +275,16 @@ class TestSeries:
         assert rc == 2
         assert "--teams" in capsys.readouterr().err
 
+    def test_team_may_be_left_out_of_a_one_team_roster(self, tmp_path):
+        events = alternating_events_file(tmp_path)
+        teams = write(tmp_path, "teams.csv", "team_id,member\ng1,a\ng1,b\n")
+        common = ["series", "--events", str(events), "--teams", str(teams),
+                  "--window", "1h", "--step", "1h"]
+        assert main(common + ["--out", str(tmp_path / "implicit")]) == 0
+        assert main(common + ["--team", "g1", "--out", str(tmp_path / "named")]) == 0
+        assert (tmp_path / "implicit" / "series.csv").read_bytes() == (
+            tmp_path / "named" / "series.csv").read_bytes()
+
     def test_unknown_team(self, tmp_path):
         events = alternating_events_file(tmp_path)
         teams = write(tmp_path, "teams.csv", "team_id,member\ng1,a\ng1,b\n")
@@ -398,6 +408,50 @@ class TestCorrelate:
         assert (tmp_path / "j1" / "signals.csv").read_bytes() == (
             tmp_path / "j2" / "signals.csv"
         ).read_bytes()
+
+    def test_team_without_events_is_excluded_with_a_warning(self, tmp_path, capsys):
+        events = write(tmp_path, "events.csv", EVENTS_HEADER + "0,a,b\n3600,b,a\n7200,a,b\n")
+        teams = write(tmp_path, "teams.csv", "team_id,member\ng1,a\ng1,b\ng2,zz\n")
+        depvars = write(tmp_path, "depvars.csv", "team_id,variable_name,value\ng1,y,1\ng2,y,2\n")
+        rc = main(["correlate", "--events", str(events), "--teams", str(teams),
+                   "--depvars", str(depvars), "--window", "1h", "--step", "1h",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2  # one team with events pairs with no cell
+        assert capsys.readouterr().err == "warning: team 'g2' has no events, excluded\n" + "".join(
+            f"warning: skipping (y, {signal}): only 1 paired teams\n" for signal in SIGNAL_FIELDS
+        ) + "error: no (variable, signal) cell with 3+ jointly defined teams\n"
+
+    def test_rows_and_warnings_in_roster_id_order(self, tmp_path, capsys):
+        # a roster listed out of id order, with two teams that have no events
+        base = self.four_teams(tmp_path)
+        teams = tmp_path / "synth" / "teams.csv"
+        rows = teams.read_text().splitlines()[1:]
+        by_team = {}
+        for row in rows:
+            by_team.setdefault(row.split(",")[0], []).append(row)
+        shuffled = [*by_team["t3"], "e2,ghost2", *by_team["t0"], "e1,ghost1",
+                    *by_team["t2"], *by_team["t1"]]
+        teams.write_text("team_id,member\n" + "\n".join(shuffled) + "\n")
+        depvars = write(tmp_path, "depvars.csv", "team_id,variable_name,value\n"
+                        + "".join(f"t{i},y,{v}\n" for i, v in enumerate([3, 1, 4, 2])))
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            for command, extra in (("metrics", []), ("correlate", ["--depvars", str(depvars)])):
+                assert main([command, *base, *extra, "--jobs", jobs, "--out", str(out)]) == 0
+                err = capsys.readouterr().err
+                reason = "row skipped" if command == "metrics" else "excluded"
+                assert [line for line in err.splitlines() if line.startswith("warning: team")] == [
+                    f"warning: team 'e1' has no events, {reason}",
+                    f"warning: team 'e2' has no events, {reason}",
+                ]
+                written[jobs, command] = err
+            signals = (out / "signals.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in signals[1:]] == ["t0", "t1", "t2", "t3"]
+            written[jobs, "files"] = [(out / name).read_bytes()
+                                      for name in ("signals.csv", "correlations.csv")]
+        for key in ("metrics", "correlate", "files"):
+            assert written["1", key] == written["2", key]
 
     def test_jobs_capped_at_team_count(self, tmp_path, monkeypatch):
         started = []
@@ -543,6 +597,18 @@ class TestFormatOverride:
         assert main(["validate", "--events", str(path), "--format", "jsonl"]) == 0
         assert "events: 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, text", [
+        ("events.csv", EVENTS_HEADER + "\n100,a,b\n\n  \n200,b,a\n\n"),
+        ("events.jsonl", '\n{"timestamp": 100, "sender": "a", "recipients": ["b"]}\n  \n\n'
+                         '{"timestamp": 200, "sender": "b", "recipients": ["a"]}\n\n'),
+    ])
+    def test_blank_rows_are_skipped(self, tmp_path, capsys, name, text):
+        path = write(tmp_path, name, text)
+        assert main(["validate", "--events", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "events: 2\n" in captured.out
+        assert captured.err == ""
+
     def test_extension_inference(self, tmp_path, capsys):
         path = write(
             tmp_path, "events.jsonl",
@@ -606,6 +672,34 @@ class TestInputErrorsExitTwo:
         path = write(tmp_path, "scenario.json", text)
         err = self.run(capsys, ["synth", "--scenario", str(path), "--out", str(tmp_path)], "scenario.json")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, name, text, message",
+        [
+            (["validate", "--events", "{file}"], "empty.csv", "", "{file}: empty file"),
+            (["validate", "--events", "{file}"], "badhdr.csv", "time,sender,recipients\n0,a,b\n",
+             "{file}:1: expected header timestamp,sender,recipients, "
+             "got ['time', 'sender', 'recipients']"),
+            (["validate", "--events", "{file}"], "nokeys.jsonl", '{"timestamp": 0, "sender": "a"}\n',
+             "{file}:1: object needs timestamp, sender, recipients"),
+            (["metrics", "--events", "{events}", "--teams", "{file}", "--out", "{out}"],
+             "teams.csv", "team_id,member\n ,a\n", "{file}:2: empty team_id"),
+            (["correlate", "--events", "{events}", "--depvars", "{file}", "--out", "{out}"],
+             "depvars.csv", "team_id,variable_name,value\ng1, ,1\n",
+             "{file}:2: empty team_id or variable_name"),
+            (["correlate", "--events", "{events}", "--depvars", "{file}", "--out", "{out}"],
+             "depvars.csv", "team_id,variable_name,value\n\n", "{file}: no data rows"),
+            (["series", "--events", "{events}", "--teams", "{file}", "--out", "{out}"],
+             "teams.csv", "team_id,member\ng1,a\ng2,b\n", "--team required: file defines 2 teams"),
+        ],
+        ids=["empty", "header", "jsonl-keys", "team-id", "depvar-key", "no-depvars", "pick-team"],
+    )
+    def test_error_line(self, tmp_path, capsys, argv, name, text, message):
+        where = {"events": alternating_events_file(tmp_path), "file": write(tmp_path, name, text),
+                 "out": tmp_path / "o"}
+        assert main([arg.format(**where) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**where)}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_internal_value_error_exits_one(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -112,6 +112,7 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
             prt_et=prompt_response_time(team_log, "et"),
             prt_fn=prompt_response_time(team_log, "fn"),
             n_actors=len(team_log.names),
+            n_events=len(team_log),
             n_closed_frames=len(closed_frames(team_log)),
         )
         assert team_signals(team_log, cfg) == expected

@@ -112,6 +112,10 @@ class TestPearsonR:
         with pytest.raises(InsufficientDataError):
             pearson_r([1, 2], [3, 4])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 4"):
+            pearson_r([1, 2, 3], [1, 2, 3, 4])
+
     def test_symmetry(self):
         x, y = [1.0, 2.5, 3.0, 7.0], [4.0, 1.0, 3.5, 2.0]
         assert pearson_r(x, y) == pearson_r(y, x)
@@ -163,6 +167,11 @@ class TestPValue:
         with pytest.raises(InsufficientDataError):
             p_value(0.5, 2)
 
+    @pytest.mark.parametrize("r", [1.0000001, -1.5])
+    def test_r_beyond_one(self, r):
+        with pytest.raises(ValueError, match=r"\|r\| must be <= 1"):
+            p_value(r, 5)
+
     def test_monotone_in_abs_r(self):
         grid = [i / 20 for i in range(20)]
         values = [p_value(r, 12) for r in grid]
@@ -191,7 +200,8 @@ class TestPValue:
 
 
 def make_signals(rl, rc=1.0, prt_fn=2.0, prt_et=60.0):
-    return TeamSignals(rl=rl, rc=rc, prt_fn=prt_fn, prt_et=prt_et, n_actors=4, n_closed_frames=5)
+    return TeamSignals(rl=rl, rc=rc, prt_fn=prt_fn, prt_et=prt_et, n_actors=4, n_events=20,
+                       n_closed_frames=5)
 
 
 def skipped_cells(record) -> list[tuple[str, str, str]]:
@@ -222,13 +232,13 @@ class TestCorrelate:
     def test_pairwise_deletion(self):
         signals = {f"t{i}": make_signals(rl=float(i)) for i in range(9)}
         signals["t9"] = TeamSignals(
-            rl=9.0, rc=1.0, prt_fn=None, prt_et=None, n_actors=2, n_closed_frames=0
+            rl=9.0, rc=1.0, prt_fn=None, prt_et=None, n_actors=2, n_events=3, n_closed_frames=0
         )
         # make PRT vary where defined so those cells survive
         for i in range(9):
             signals[f"t{i}"] = TeamSignals(
                 rl=float(i), rc=float(i % 3), prt_fn=2.0 + i, prt_et=60.0 + i,
-                n_actors=4, n_closed_frames=5,
+                n_actors=4, n_events=20, n_closed_frames=5,
             )
         depvars = {(f"t{i}", "quality"): float(i * i) for i in range(10)}
         cells = {c.signal_name: c for c in correlate(signals, depvars)}

@@ -46,6 +46,17 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             ReplyDelay.fixed(1)
 
+    @pytest.mark.parametrize("overrides", [dict(duration=0), dict(duration=-DAY),
+                                           dict(mean_event_rate=0.0),
+                                           dict(mean_event_rate=-6.0)])
+    def test_duration_and_rate_must_be_positive(self, overrides):
+        with pytest.raises(ConfigError, match="must be positive"):
+            scenario(**overrides)
+
+    def test_unknown_delay_kind(self):
+        with pytest.raises(ConfigError, match="unknown reply delay kind 'gamma'"):
+            ReplyDelay("gamma", 30, 90)
+
     def test_delay_must_fit_gap(self):
         # 3600 events/h -> 3 s between exchanges, too tight for a 60 s reply
         with pytest.raises(ConfigError):
@@ -243,3 +254,41 @@ class TestScenarioFile:
         with pytest.raises(ConfigError) as info:
             load_scenario_file(path)
         assert str(info.value) == f"{path}: each team needs a team_id"
+
+    def test_team_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"teams": ["t1"]}))
+        with pytest.raises(ConfigError) as info:
+            load_scenario_file(path)
+        assert str(info.value) == f"{path}: each team must be a JSON object"
+
+    @pytest.mark.parametrize(
+        "level, first, where",
+        [
+            ("top", "zextra", ""),
+            ("team", "leader_shar", " team 't1':"),
+            ("fixed", "lo", " team 't1': reply_delay:"),
+            ("uniform", "seconds", " team 't1': reply_delay:"),
+        ],
+        ids=["top", "team", "fixed-delay", "uniform-delay"],
+    )
+    def test_unknown_key(self, tmp_path, level, first, where):
+        # the first unknown key in file order is named, and none is ignored
+        entry = {
+            "team_id": "t1", "n_actors": 3, "duration": 3600, "mean_event_rate": 30.0,
+            "reply_delay": {"kind": "fixed", "seconds": 30}, "seed": 2,
+        }
+        data = {"teams": [entry]}
+        if level == "top":
+            data.update(zextra=1, extra=2)
+        elif level == "team":
+            entry.update(leader_shar=0.2, seeed=3)
+        elif level == "fixed":
+            entry["reply_delay"].update(lo=5, hi=90)
+        else:
+            entry["reply_delay"] = {"kind": "uniform", "seconds": 45, "lo": 30, "hi": 60}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError) as info:
+            load_scenario_file(path)
+        assert str(info.value) == f"{path}:{where} unknown key {first!r}"
