@@ -131,9 +131,10 @@ def _new_actor(ids: dict[str, int], names: list[ActorId], raw: str, path, line: 
 def _csv_rows(path: Path, columns: list[str]):
     """Yield (line, row) for each non-blank data row of a CSV file.
 
-    Checks the header against ``columns`` and each row's column count. A
-    row the csv module cannot read, or bytes that are not UTF-8, become a
-    ParseError naming the file.
+    Checks the header against ``columns``, which may be followed by more,
+    and that each row has as many fields as the header. A row the csv
+    module cannot read, or bytes that are not UTF-8, become a ParseError
+    naming the file.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -147,8 +148,8 @@ def _csv_rows(path: Path, columns: list[str]):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 line = reader.line_num
-                if len(row) < len(columns):
-                    raise ParseError(path, line, f"expected {len(columns)} columns, got {len(row)}")
+                if len(row) != len(header):
+                    raise ParseError(path, line, f"expected {len(header)} columns, got {len(row)}")
                 yield line, row
     except csv.Error as exc:
         raise ParseError(path, reader.line_num, str(exc)) from None
@@ -218,15 +219,43 @@ def _text_lines(path: Path):
         raise ParseError(path, None, f"not UTF-8 text ({exc.reason})") from None
 
 
+class DuplicateKeyError(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DuplicateKeyError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# built once: json.loads given a hook builds a new decoder on every call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def load_json(text: str):
+    """json.loads(text), but a key repeated in an object raises DuplicateKeyError."""
+    if text.startswith("\ufeff"):  # json.loads' own check
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
 def _jsonl_event_rows(path: Path):
     """Yield (line, stamp text, sender, recipients) per object of an events JSON Lines file."""
     for line_no, line in _text_lines(path):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = load_json(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
+        except DuplicateKeyError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
         except ValueError:  # int() refuses over 4300 digits, in words that vary by version
             raise ParseError(path, line_no, "a JSON number has too many digits") from None
         try:

@@ -13,8 +13,8 @@ the names decide which one replies. Every signal is computed from a team log,
 the events model.restrict_to_team or model.partition_by_team kept for a
 roster, over that log's own actors. team_signals gets all of them from the
 team log's int columns as they are: PRT is one pass over them with integer
-state, and each window step judges RL and RC only for the actors its events
-moved (RL for every actor when betweenness changed).
+state, and each window step judges RL and RC only for the actors the window
+pass names as changed.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class _ExtremaCounter:
     judged once its right neighbor arrives: an extremum if it lies strictly
     above or below both neighbors. Equal consecutive values are one point,
     run endpoints never count, and an absent window ends the run. Feeding
-    an actor its last presence and value changes nothing, so feed may judge
-    only the actors that moved. total is the sum of the actors' counts.
+    an actor its last presence and value changes nothing, so feed judges
+    just the actors it is given. total is the sum of the actors' counts.
     """
 
     def __init__(self, n: int) -> None:
@@ -68,13 +68,11 @@ class _ExtremaCounter:
         self.last: list[float | None] = [None] * n
         self.total = 0
 
-    def feed(
-        self, values: Sequence[float], presence: Sequence[bool], actors: Iterable[int] | None = None
-    ) -> None:
-        """Judge each actor in actors (all by default); the rest must be as last fed."""
+    def feed(self, values: Sequence[float], presence: Sequence[bool], actors: Iterable[int]) -> None:
+        """Judge each actor in actors; the others' presence and value must be as last fed."""
         prev, last = self.prev, self.last
         total = self.total
-        for i in range(len(presence)) if actors is None else actors:
+        for i in actors:
             if not presence[i]:
                 last[i] = prev[i] = None
                 continue
@@ -97,7 +95,7 @@ def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]])
     for _end, presence, values in rows:
         if counter is None:
             counter = _ExtremaCounter(len(presence))
-        counter.feed(values, presence)
+        counter.feed(values, presence, range(len(presence)))
     if counter is None or not counter.last:
         raise ValueError("series has no actors")
     return counter.total / len(counter.last)
@@ -166,16 +164,14 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     over its int columns gives both PRT variants and the closed-frame
     count, and drops its per-pair state before the grid pass, whose window
     rows feed the RL and RC extrema counters as they are made: only the
-    current window is held, and only the actors it moved are judged.
+    current window is held, and only a row's changed actors are judged.
     """
     n = len(team_log.names)
     prt_et, prt_fn, n_closed = _response_sums(team_log)
     rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
-    scores = None
-    for _end, presence, bc_row, ci_row, moved in _window_rows(team_log, cfg, True):
-        if moved:  # only moved actors change, and every score when the bc row is new
-            rl.feed(bc_row, presence, moved if bc_row is scores else None)
-            rc.feed(ci_row, presence, moved)
-            scores = bc_row
+    for _end, presence, bc_row, ci_row, changed in _window_rows(team_log, cfg, True):
+        if changed:
+            rl.feed(bc_row, presence, changed)
+            rc.feed(ci_row, presence, changed)
     return TeamSignals(rl=rl.total / n, rc=rc.total / n, prt_et=prt_et, prt_fn=prt_fn,
                        n_actors=n, n_events=len(team_log), n_closed_frames=n_closed)

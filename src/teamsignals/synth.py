@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .ingest import DuplicateKeyError, load_json
 from .model import EventColumns, EventLog, validate_log
 from .windows import ConfigError, parse_duration
 
@@ -184,15 +185,18 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
     lowercased and split on ";"), reply_delay a JSON object,
     n_actors and seed JSON integers and the rates, shares and delays JSON
     numbers, never bools or strings. A key outside this layout is an error,
-    not ignored. Any file that is not such a layout raises ConfigError
-    naming the file (and the team and key of a bad value, or the first
-    unknown key in file order).
+    not ignored, and so is a key repeated in one object. Any file that is
+    not such a layout raises ConfigError naming the file (and the team and
+    key of a bad value, the first unknown key in file order, or a repeated
+    key).
     """
     try:
         with open(Path(path), encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = load_json(fh.read())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: not a JSON scenario file: {exc}") from None
+    except DuplicateKeyError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     entries = data.get("teams") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path}: scenario file needs a non-empty 'teams' list")

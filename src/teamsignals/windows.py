@@ -29,10 +29,10 @@ may differ in the sixth decimal from the exact score rounded.
 
 _window_rows, a sliding pass that holds only the current window, is the one
 window builder. Each step recomputes presence and the contribution index
-only for the actors whose events entered or left, and yields them with the
-row; series yields one metric's rows from it, and every consumer takes rows
-as they come. build_snapshots and betweenness rebuild the same windows from
-scratch, one GraphSnapshot each.
+only for the actors whose events entered or left, and yields with the row
+the actors whose values changed; series yields one metric's rows from it,
+and every consumer takes rows as they come. build_snapshots and
+betweenness rebuild the same windows from scratch, one GraphSnapshot each.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Collection, Iterator, Literal, Sequence
 
 from .model import MAX_TIMESTAMP, ActorId, EventLog
 
@@ -248,23 +248,25 @@ def series(
     _grid(log, cfg)  # its ConfigError, now rather than at the first row
     rows = _window_rows(log, cfg, metric == "bc")
     if metric == "bc":
-        return ((end, presence, bc) for end, presence, bc, _ci, _moved in rows)
-    return ((end, presence, ci) for end, presence, _bc, ci, _moved in rows)
+        return ((end, presence, bc) for end, presence, bc, _ci, _changed in rows)
+    return ((end, presence, ci) for end, presence, _bc, ci, _changed in rows)
 
 
 def _window_rows(
     log: EventLog, cfg: WindowConfig, want_bc: bool
-) -> Iterator[tuple[int, list[bool], list[float], list[float], set[int]]]:
-    """Yield (end, presence, bc, ci, moved) rows, indexed like log.names, per grid window.
+) -> Iterator[tuple[int, list[bool], list[float], list[float], Collection[int]]]:
+    """Yield (end, presence, bc, ci, changed) rows, indexed like log.names, per grid window.
 
     Each event enters and leaves the window state once: an edge multiset
-    keyed u * n + v and sent and received counts, which give presence and
-    the contribution index. Only the actors of the events that entered or
-    left, moved, can differ from the previous row: a copy of it gets
-    theirs. Only changed edges touch the sorted successor lists
-    (betweenness(snapshot)'s adjacency) before betweenness is recomputed.
-    An unchanged row, or recomputed scores equal to the last ones, is
-    yielded again as the same object. With want_bc False the bc row stays
+    keyed u * n + v, sent and received counts, which give presence and the
+    contribution index, and sorted successor lists (betweenness(snapshot)'s
+    adjacency), which an edge joins or leaves as its count leaves or reaches
+    0. As step <= window_size, an event that leaves entered in an earlier
+    step, so an edge's count crosses 0 at most once a step. changed is the
+    actors of the events that entered or left, the only ones whose presence
+    and ci a copy of the previous row updates, or every actor when
+    betweenness is recomputed and differs. An unchanged row, or equal scores,
+    is yielded again as the same object. With want_bc False the bc row stays
     zero. Callers must not modify rows.
     """
     stamps, us, vs = log.stamps, log.senders, log.recipients
@@ -273,7 +275,6 @@ def _window_rows(
     sent = [0] * n
     received = [0] * n
     adjacency: list[list[int]] = [[] for _ in range(n)]  # sorted successor lists
-    toggled: set[int] = set()  # want_bc only: keys whose presence flipped since the last call
     # the rows of a window with no events; betweenness of the edgeless graph
     presence_row = [False] * n
     ci_row = [0.0] * n
@@ -283,12 +284,14 @@ def _window_rows(
     lo = hi = 0
     for end in _grid(log, cfg):
         moved: set[int] = set()
+        stale = False  # want_bc only: an edge came or went in this step
         while hi < n_events and stamps[hi] <= end:
             u, v = us[hi], vs[hi]
             key = u * n + v
             count = edges.get(key, 0)
             if not count and want_bc:
-                toggled ^= {key}  # an entry and an exit within one step cancel
+                insort(adjacency[u], v)
+                stale = True
             edges[key] = count + 1
             sent[u] += 1
             received[v] += 1
@@ -304,7 +307,8 @@ def _window_rows(
             else:
                 del edges[key]
                 if want_bc:
-                    toggled ^= {key}
+                    adjacency[u].remove(v)
+                    stale = True
             sent[u] -= 1
             received[v] -= 1
             moved.add(u)
@@ -317,15 +321,10 @@ def _window_rows(
                 s, r = sent[i], received[i]
                 presence_row[i] = s + r > 0
                 ci_row[i] = (s - r) / (s + r) if s + r else 0.0
-        if toggled:
-            for key in toggled:
-                u, v = divmod(key, n)
-                if key in edges:
-                    insort(adjacency[u], v)
-                else:
-                    adjacency[u].remove(v)
-            toggled.clear()
+        changed: Collection[int] = moved
+        if stale:
             fresh = _snapped_betweenness(adjacency)
             if fresh != scores:  # scores are never -0.0 or NaN, so equal means the same bits
                 scores = fresh
-        yield end, presence_row, scores, ci_row, moved
+                changed = range(n)
+        yield end, presence_row, scores, ci_row, changed

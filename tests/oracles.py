@@ -473,7 +473,7 @@ def count_extrema(values, presence) -> int:
         raise ValueError(f"length mismatch: {len(values)} values vs {len(presence)} presence")
     counter = _ExtremaCounter(1)
     for value, present in zip(values, presence):
-        counter.feed((value,), (present,))
+        counter.feed((value,), (present,), (0,))
     return counter.total
 
 

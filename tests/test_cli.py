@@ -691,8 +691,22 @@ class TestInputErrorsExitTwo:
              "depvars.csv", "team_id,variable_name,value\n\n", "{file}: no data rows"),
             (["series", "--events", "{events}", "--teams", "{file}", "--out", "{out}"],
              "teams.csv", "team_id,member\ng1,a\ng2,b\n", "--team required: file defines 2 teams"),
+            (["validate", "--events", "{file}"], "events.csv",
+             "timestamp,sender,recipients\n2010-01-01T00:00:00Z,alice,bob,carol\n",
+             "{file}:2: expected 3 columns, got 4"),
+            (["correlate", "--events", "{events}", "--depvars", "{file}", "--out", "{out}"],
+             "depvars.csv", "team_id,variable_name,value\ng1,x,1,5\n", "{file}:2: expected 3 columns, got 4"),
+            (["metrics", "--events", "{events}", "--teams", "{file}", "--out", "{out}"],
+             "teams.csv", "team_id,member\ng1,a,zzz\n", "{file}:2: expected 2 columns, got 3"),
+            (["validate", "--events", "{file}"], "events.jsonl",
+             '{"timestamp": 0, "sender": "a", "sender": "b", "recipients": ["c"]}\n',
+             "{file}:1: duplicate key 'sender'"),
+            (["validate", "--events", "{file}"], "events.jsonl",
+             '\ufeff{"timestamp": 0, "sender": "a", "recipients": ["b"]}\n',
+             "{file}:1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
         ],
-        ids=["empty", "header", "jsonl-keys", "team-id", "depvar-key", "no-depvars", "pick-team"],
+        ids=["empty", "header", "jsonl-keys", "team-id", "depvar-key", "no-depvars", "pick-team",
+             "events-width", "depvars-width", "teams-width", "jsonl-duplicate-key", "jsonl-bom"],
     )
     def test_error_line(self, tmp_path, capsys, argv, name, text, message):
         where = {"events": alternating_events_file(tmp_path), "file": write(tmp_path, name, text),

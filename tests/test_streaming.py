@@ -4,9 +4,9 @@ team_signals never holds a per-window series. These tests pin the pieces
 that make that exact: the online counter equals count_extrema and the
 independent scan, unchanged rows arrive as the same objects, the PRT pass
 equals the frame list bit for bit and meets responders in its order, and
-traced memory does not grow with the grid. Each row names the actors it
-moved, and judging only those (every actor when the bc row is new) counts
-what judging whole rows counts.
+traced memory does not grow with the grid. Each row names the actors whose
+presence, bc or ci changed, and judging only those counts what judging
+whole rows counts.
 """
 
 import tracemalloc
@@ -74,7 +74,7 @@ def test_counter_equals_count_extrema_for_every_actor(grid):
     n = 3
     counter = _ExtremaCounter(n)
     for values, presence in fed:
-        counter.feed(values, presence)
+        counter.feed(values, presence, range(n))
     expected = 0
     for i in range(n):
         column = [values[i] for values, _ in fed]
@@ -88,7 +88,7 @@ def test_counter_equals_count_extrema_for_every_actor(grid):
             key = id(presence)
             if key not in masked:
                 masked[key] = [p and j == i for j, p in enumerate(presence)]
-            alone.feed(values, masked[key])
+            alone.feed(values, masked[key], range(n))
         assert alone.total == count
         expected += count
     assert counter.total == expected
@@ -114,47 +114,44 @@ def _rows(log, cfg):
     return list(_window_rows(log, cfg, True)), len(log.names)
 
 
-def _totals(rows, n, moved_only):
-    """RL and RC extrema totals, judging moved actors only or whole rows."""
+def _totals(rows, n, changed_only):
+    """RL and RC extrema totals, judging changed actors only or whole rows."""
     rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
-    scores = None
-    for _end, presence, bc, ci, moved in rows:
-        if moved_only:
-            rl.feed(bc, presence, range(n) if bc is not scores else moved)
-            rc.feed(ci, presence, moved)
-            scores = bc
-        else:
-            rl.feed(bc, presence)
-            rc.feed(ci, presence)
+    for _end, presence, bc, ci, changed in rows:
+        actors = changed if changed_only else range(n)
+        rl.feed(bc, presence, actors)
+        rc.feed(ci, presence, actors)
     return rl.total, rc.total
 
 
 @settings(deadline=None)
 @given(team_logs, configs)
-def test_only_moved_actors_change_presence_or_ci(log, cfg):
+def test_only_changed_actors_differ_from_the_previous_row(log, cfg):
     rows, n = _rows(log, cfg)
-    before = ([False] * n, [0.0] * n)  # the rows of a window with no events
-    for _end, presence, _bc, ci, moved in rows:
-        changed = {i for i in range(n) if presence[i] != before[0][i] or ci[i] != before[1][i]}
-        assert changed <= moved
-        before = (presence, ci)
+    before = ([False] * n, [0.0] * n, [0.0] * n)  # the rows of a window with no events
+    for _end, *row, changed in rows:
+        differ = {i for i in range(n) if any(new[i] != old[i] for new, old in zip(row, before))}
+        assert differ <= set(changed)
+        before = row
 
 
 @settings(deadline=None)
 @given(team_logs, configs)
-def test_judging_moved_actors_equals_judging_whole_rows(log, cfg):
+def test_judging_changed_actors_equals_judging_whole_rows(log, cfg):
     rows, n = _rows(log, cfg)
-    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+    assert _totals(rows, n, changed_only=True) == _totals(rows, n, changed_only=False)
 
 
 @settings(deadline=None)
 @given(team_logs, configs)
 def test_presence_and_ci_rows_do_not_depend_on_want_bc(log, cfg):
-    def rows(want_bc):
-        return [(end, presence, ci, moved) for end, presence, _bc, ci, moved
-                in _window_rows(log, cfg, want_bc)]
-
-    assert rows(False) == rows(True)
+    # without bc a row's changed actors are those its events moved, which
+    # are changed with bc too
+    with_bc, without_bc = (list(_window_rows(log, cfg, want_bc)) for want_bc in (True, False))
+    assert len(with_bc) == len(without_bc)
+    for (end, p, _, ci, changed), (end0, p0, _, ci0, moved) in zip(with_bc, without_bc):
+        assert (end, p, ci) == (end0, p0, ci0)
+        assert set(moved) <= set(changed)
 
 
 def test_event_entering_and_leaving_in_one_step():
@@ -173,7 +170,7 @@ def test_event_entering_and_leaving_in_one_step():
     assert p1 == [False, False, True, True] and c1 == [0.0, 0.0, 1.0, -1.0]
     assert m2 == {2, 3}
     assert p2 == [False, False, True, True] and c2 == [0.0, 0.0, -1.0, 1.0]
-    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+    assert _totals(rows, n, changed_only=True) == _totals(rows, n, changed_only=False)
 
 
 def test_actor_unchanged_while_another_moves():
@@ -184,11 +181,11 @@ def test_actor_unchanged_while_another_moves():
         InteractionEvent("c", "d", 5 * HOUR),
     ])).log
     rows, n = _rows(log, WindowConfig(3 * HOUR, HOUR))
-    assert [sorted(moved) for *_, moved in rows] == [[2, 3], [0, 1], [2, 3], [], [0, 1, 2, 3]]
+    assert [sorted(changed) for *_, changed in rows] == [[2, 3], [0, 1], [2, 3], [], [0, 1, 2, 3]]
     (_, p0, _, c0, _), (_, p1, _, c1, _) = rows[:2]
     assert p1 is not p0 and c1 is not c0  # new rows, equal where nothing moved
     assert (p0[2:], c0[2:]) == (p1[2:], c1[2:]) == ([True, True], [1.0, -1.0])
-    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+    assert _totals(rows, n, changed_only=True) == _totals(rows, n, changed_only=False)
 
 
 def test_kernel_call_that_leaves_every_score_equal():
@@ -201,7 +198,7 @@ def test_kernel_call_that_leaves_every_score_equal():
     (_, _, b0, _, _), (_, _, b1, _, m1) = rows
     assert b1 is b0 and b1 == [0.0] * 4
     assert m1 == {2, 3}
-    assert _totals(rows, n, moved_only=True) == _totals(rows, n, moved_only=False)
+    assert _totals(rows, n, changed_only=True) == _totals(rows, n, changed_only=False)
 
 
 def test_kernel_call_changes_an_unmoved_actors_score():
@@ -215,8 +212,10 @@ def test_kernel_call_changes_an_unmoved_actors_score():
     ])).log
     cfg = WindowConfig(3 * HOUR, HOUR)
     rows, _ = _rows(log, cfg)
-    assert [(bc[1], sorted(moved)) for _, _, bc, _, moved in rows] == [
-        (1.0, [0, 1, 2]), (2.0, [2, 3]), (0.0, [0, 1, 2, 3])
+    # every window's scores differ from the last, so every actor is changed,
+    # b too at 2h, though only c->d's events moved
+    assert [(bc[1], list(changed)) for _, _, bc, _, changed in rows] == [
+        (1.0, [0, 1, 2, 3]), (2.0, [0, 1, 2, 3]), (0.0, [0, 1, 2, 3])
     ]
     assert team_signals(log, cfg).rl == rotating_signal(series(log, cfg, "bc")) == 2 / 4
 

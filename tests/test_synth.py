@@ -292,3 +292,22 @@ class TestScenarioFile:
         with pytest.raises(ConfigError) as info:
             load_scenario_file(path)
         assert str(info.value) == f"{path}:{where} unknown key {first!r}"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"teams": [], "teams": [{}]}', "teams"),
+            ('{"teams": [{"team_id": "t1", "n_actors": 3, "duration": 3600, "mean_event_rate": 30.0, '
+             '"reply_delay": {"kind": "fixed", "seconds": 30}, "seed": 1, "seed": 5}]}', "seed"),
+            ('{"teams": [{"team_id": "t1", "n_actors": 3, "duration": 3600, "mean_event_rate": 30.0, '
+             '"reply_delay": {"kind": "fixed", "seconds": 30, "seconds": 60}}]}', "seconds"),
+        ],
+        ids=["top", "team", "reply-delay"],
+    )
+    def test_duplicate_key(self, tmp_path, text, key):
+        # json.loads would keep the last value of a repeated key
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_scenario_file(path)
+        assert str(info.value) == f"{path}: duplicate key {key!r}"
