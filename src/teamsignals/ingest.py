@@ -219,8 +219,9 @@ def _text_lines(path: Path):
         raise ParseError(path, None, f"not UTF-8 text ({exc.reason})") from None
 
 
-class DuplicateKeyError(ValueError):
-    """A JSON object names one key twice."""
+class JSONValueError(ValueError):
+    """JSON that parses but is refused: a key repeated in one object, or a
+    number of more digits than int() converts."""
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -229,7 +230,7 @@ def _unique_keys(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise DuplicateKeyError(f"duplicate key {key!r}")
+                raise JSONValueError(f"duplicate key {key!r}")
             seen.add(key)
     return obj
 
@@ -239,10 +240,15 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def load_json(text: str):
-    """json.loads(text), but a key repeated in an object raises DuplicateKeyError."""
+    """json.loads(text), but a repeated key or an overlong number raises JSONValueError."""
     if text.startswith("\ufeff"):  # json.loads' own check
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    return _DECODER.decode(text)
+    try:
+        return _DECODER.decode(text)
+    except (json.JSONDecodeError, JSONValueError):
+        raise
+    except ValueError:  # int() refuses over 4300 digits, in words that vary by version
+        raise JSONValueError("a JSON number has too many digits") from None
 
 
 def _jsonl_event_rows(path: Path):
@@ -254,10 +260,8 @@ def _jsonl_event_rows(path: Path):
             obj = load_json(line)
         except json.JSONDecodeError as exc:
             raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
-        except DuplicateKeyError as exc:
+        except JSONValueError as exc:
             raise ParseError(path, line_no, str(exc)) from None
-        except ValueError:  # int() refuses over 4300 digits, in words that vary by version
-            raise ParseError(path, line_no, "a JSON number has too many digits") from None
         try:
             ts_raw = obj["timestamp"]
             sender = obj["sender"]

@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .ingest import DuplicateKeyError, load_json
+from .ingest import JSONValueError, load_json
 from .model import EventColumns, EventLog, validate_log
 from .windows import ConfigError, parse_duration
 
@@ -195,7 +195,7 @@ def load_scenario_file(path) -> list[tuple[str, SynthScenario]]:
             data = load_json(fh.read())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: not a JSON scenario file: {exc}") from None
-    except DuplicateKeyError as exc:
+    except JSONValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     entries = data.get("teams") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not entries:

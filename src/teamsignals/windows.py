@@ -42,6 +42,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Collection, Iterator, Literal, Sequence
 
+from .ingest import _echo
 from .model import MAX_TIMESTAMP, ActorId, EventLog
 
 Metric = Literal["bc", "ci"]
@@ -51,16 +52,23 @@ class ConfigError(ValueError):
     """Invalid window or scenario configuration."""
 
 
-_DURATION_RE = re.compile(r"^\s*(\d+)\s*([smhdw])\s*$", re.IGNORECASE)
+# ASCII digits and units only: \d takes non-ASCII digits, which int() reads,
+# and a case-blind [smhdw] takes the long s "ſ".
+_DURATION_RE = re.compile(r"^\s*([0-9]+)\s*([smhdwSMHDW])\s*$")
 _DURATION_UNITS = {"s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800}
+# int()'s default limit; past it, int() refuses in words that vary by version
+_DURATION_DIGITS = 4300
 
 
 def parse_duration(text: str) -> int:
     """Parse "90m", "12h", "7d" style durations into seconds."""
     m = _DURATION_RE.match(text)
     if not m:
-        raise ConfigError(f"cannot parse duration {text!r} (use e.g. 45s, 90m, 12h, 7d)")
-    return int(m.group(1)) * _DURATION_UNITS[m.group(2).lower()]
+        raise ConfigError(f"cannot parse duration {_echo(text)} (use e.g. 45s, 90m, 12h, 7d)")
+    count = m.group(1).lstrip("0")  # int() counts leading zeros toward its limit
+    if len(count) > _DURATION_DIGITS:
+        raise ConfigError(f"duration {_echo(text)} has more than {_DURATION_DIGITS} digits")
+    return int(count or "0") * _DURATION_UNITS[m.group(2).lower()]
 
 
 @dataclass(frozen=True)

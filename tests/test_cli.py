@@ -666,6 +666,18 @@ class TestInputErrorsExitTwo:
              '"reply_delay": {"kind": "fixed", "seconds": 45}}]}', "team 'Alpha': team_id must be lowercase"),
             ('{"teams": [{"team_id": "g;h", "n_actors": 3, "duration": "1d", "mean_event_rate": 12.0, '
              '"reply_delay": {"kind": "fixed", "seconds": 45}}]}', "team 'g;h': team_id must be lowercase, with no ';'"),
+            pytest.param(
+                '{"teams": [{"team_id": "a", "n_actors": 3, "duration": "1d", "mean_event_rate": 12.0, '
+                '"reply_delay": {"kind": "fixed", "seconds": 45}, "seed": %s}]}' % ("1" * 5001),
+                "scenario.json: a JSON number has too many digits\n", id="seed-digits"),
+            pytest.param(
+                '{"teams": [{"team_id": "a", "n_actors": 3, "duration": "\u0661d", "mean_event_rate": 12.0, '
+                '"reply_delay": {"kind": "fixed", "seconds": 45}}]}',
+                "team 'a': cannot parse duration '\u0661d'", id="duration-digits"),
+            pytest.param(
+                '{"teams": [{"team_id": "a", "n_actors": 3, "duration": "%sd", "mean_event_rate": 12.0, '
+                '"reply_delay": {"kind": "fixed", "seconds": 45}}]}' % ("1" * 5000),
+                f"team 'a': duration {'1' * 40 + '…'!r} has more than 4300 digits\n", id="duration-long-count"),
         ],
     )
     def test_bad_scenario(self, tmp_path, capsys, text, message):
@@ -704,9 +716,14 @@ class TestInputErrorsExitTwo:
             (["validate", "--events", "{file}"], "events.jsonl",
              '\ufeff{"timestamp": 0, "sender": "a", "recipients": ["b"]}\n',
              "{file}:1: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (["metrics", "--events", "{events}", "--window", "\u0667h", "--step", "1h", "--out", "{out}"],
+             "unused.txt", "", "cannot parse duration '\u0667h' (use e.g. 45s, 90m, 12h, 7d)"),
+            (["metrics", "--events", "{events}", "--window", "1" * 5000 + "h", "--out", "{out}"],
+             "unused.txt", "", f"duration {'1' * 40 + '…'!r} has more than 4300 digits"),
         ],
         ids=["empty", "header", "jsonl-keys", "team-id", "depvar-key", "no-depvars", "pick-team",
-             "events-width", "depvars-width", "teams-width", "jsonl-duplicate-key", "jsonl-bom"],
+             "events-width", "depvars-width", "teams-width", "jsonl-duplicate-key", "jsonl-bom",
+             "duration-digits", "duration-long-count"],
     )
     def test_error_line(self, tmp_path, capsys, argv, name, text, message):
         where = {"events": alternating_events_file(tmp_path), "file": write(tmp_path, name, text),

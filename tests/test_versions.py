@@ -44,6 +44,9 @@ COMMANDS = [
     ["validate", "--events", "long_epoch.csv"],
     ["validate", "--events", "long_epoch.jsonl"],
     ["metrics", "--events", "events.csv", "--teams", "dup_teams.csv", *WINDOW, "--out", "d"],
+    # a duration count and a scenario integer past int()'s 4300-digit limit
+    ["metrics", "--events", "events.csv", "--window", "1" * 4401 + "h", "--out", "w"],
+    ["synth", "--scenario", "long_seed.json", "--out", "s"],
 ]
 
 # floats printed in full: pearson_r, its p_value (n from 3 to 30, so both
@@ -128,6 +131,9 @@ def _write_fixture(root: Path) -> None:
         # the same, as a JSON number: json.loads reads it with int()
         "long_epoch.jsonl": '{"timestamp": 100, "sender": "a", "recipients": ["b"]}\n'
         '{"timestamp": %s, "sender": "a", "recipients": ["b"]}\n' % ("1" * 4401),
+        "long_seed.json": '{"teams": [{"team_id": "a", "n_actors": 3, "duration": "1d", '
+        '"mean_event_rate": 12.0, "reply_delay": {"kind": "fixed", "seconds": 45}, "seed": %s}]}'
+        % ("1" * 4401),
     }
     for name, text in files.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -142,7 +148,7 @@ def _run_all(python: str, root: Path) -> list:
         done = subprocess.run([python, "-m", "teamsignals.cli", *cmd], cwd=root, env=env,
                               capture_output=True, timeout=120)
         out = root / cmd[cmd.index("--out") + 1] if "--out" in cmd else None
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out else {}
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out else {}
         results.append((done.returncode, done.stdout, done.stderr, files))
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(ROOT)])  # FLOATS imports tests.graphs
     done = subprocess.run([python, "-c", FLOATS], env=env, capture_output=True, timeout=120)
@@ -169,8 +175,9 @@ def _find_python(version: str) -> str | None:
 def reference(tmp_path_factory):
     results = _run_all(sys.executable, tmp_path_factory.mktemp(f"py{CURRENT}"))
     codes = [code for code, *_ in results]
-    # the fixture exercises both outcomes: the six malformed files fail, the rest succeed
-    assert codes == [0] * 8 + [2] * 6 + [0] + [0]
+    # the fixture exercises both outcomes: the six malformed files and the two
+    # overlong numbers fail, the rest succeed
+    assert codes == [0] * 8 + [2] * 6 + [0] + [2] * 2 + [0]
     assert results[4][3]["correlations.csv"].count(b"\n") > 1
     assert b"warning: " in results[4][2] and b"warning: " in results[14][2]
     return results

@@ -44,8 +44,19 @@ class TestParseDuration:
         assert parse_duration(text) == seconds
 
     def test_garbage(self):
-        with pytest.raises(ConfigError):
-            parse_duration("12 fortnights")
+        # int() reads non-ASCII digits and a case-blind [smhdw] takes the long s
+        for text in ("12 fortnights", "\u0667h", "\u0661d", "7\u017f", "1" * 5000 + "h"):
+            with pytest.raises(ConfigError):
+                parse_duration(text)
+
+    def test_long_count(self):
+        # int() refuses past 4300 digits, in words that vary by version
+        with pytest.raises(ConfigError) as exc:
+            parse_duration("9" * 4301 + "h")
+        assert str(exc.value) == f"duration {'9' * 40 + '…'!r} has more than 4300 digits"
+        # leading zeros do not count
+        assert parse_duration("0" * 5000 + "7d") == 7 * 86400
+        assert parse_duration("1" * 4300 + "s") == int("1" * 4300)
 
 
 class TestWindowConfig:
