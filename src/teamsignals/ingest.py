@@ -128,13 +128,17 @@ def _new_actor(ids: dict[str, int], names: list[ActorId], raw: str, path, line: 
     return actor
 
 
+_NUL = "line contains NUL"  # the words of Python 3.10's csv.Error
+
+
 def _csv_rows(path: Path, columns: list[str]):
     """Yield (line, row) for each non-blank data row of a CSV file.
 
     Checks the header against ``columns``, which may be followed by more,
     and that each row has as many fields as the header. A row the csv
     module cannot read, or bytes that are not UTF-8, become a ParseError
-    naming the file.
+    naming the file. So does a NUL in any row, header included: the csv
+    module of Python 3.10 refuses it, later ones read it.
     """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -142,9 +146,13 @@ def _csv_rows(path: Path, columns: list[str]):
             header = next(reader, None)
             if header is None:
                 raise ParseError(path, None, "empty file")
+            if "\x00" in "".join(header):
+                raise ParseError(path, reader.line_num, _NUL)
             if [c.strip().lower() for c in header][: len(columns)] != columns:
                 raise ParseError(path, 1, f"expected header {','.join(columns)}, got {header}")
             for row in reader:
+                if "\x00" in "".join(row):
+                    raise ParseError(path, reader.line_num, _NUL)
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 line = reader.line_num

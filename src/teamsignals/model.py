@@ -8,6 +8,7 @@ kept in columns, not as objects: see EventColumns.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -24,15 +25,24 @@ class EmptyLogError(ValueError):
     """Raised when cleaning or filtering leaves no events at all."""
 
 
+# the C0 and C1 control characters, a set that no Unicode version changes
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
 def normalize_actor(raw: str) -> ActorId:
     """Canonical actor token: whitespace-trimmed, Unicode lowercase.
 
     Two raw tokens denote the same actor iff their normalized forms are
-    byte-equal. Raises ValueError for tokens that are empty after trimming.
+    byte-equal. Raises ValueError for tokens that are empty after trimming,
+    or that hold a control character (U+0000-U+001F, U+007F-U+009F) after it.
     """
     token = raw.strip().lower()
     if not token:
         raise ValueError(f"empty actor token: {raw!r}")
+    if not (token.isascii() and token.isprintable()):  # printable ASCII needs no search
+        control = _CONTROL.search(token)
+        if control:
+            raise ValueError(f"control character U+{ord(control[0]):04X} in actor token: {raw!r}")
     return token
 
 

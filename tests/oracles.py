@@ -1,16 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
-Betweenness is recomputed from literal path enumeration, from a
-Floyd-Warshall path-counting scheme, by the Brandes loop with int path
-counts and no depth-1 skip, and by that loop in exact rationals; extrema
-by a groupby scan, frame counts by direction-reversal counting; PRT from
-the list of per-pair frames that segment_frames builds one
-CommunicationFrame at a time; a team log by a plain filter over the
-events. validate_events and partition_events are the object-based
-validate_log and partition_by_team the columnar ones replaced: a sort of
-InteractionEvents by (timestamp, sender, recipient) and a per-event roster
-lookup. event_log builds an EventLog from events as given, with no
-cleaning.
+One reference per quantity. Betweenness: bc_path_enumeration (the
+definition), bc_floyd_warshall_batch (path counting over a batch of
+graphs, for the exhaustive small-graph sweep), brandes_reference (int path
+counts, no depth-1 skip: the kernel's bits) and brandes_exact (that loop
+in exact rationals); pair_distances for the scores' global sum. Extrema by
+a groupby scan, frame counts by direction-reversal counting, PRT from the
+frames that segment_frames builds (prt_from_frames), a team log by a plain
+filter over the events. validate_events and partition_events are the
+object-based validate_log and partition_by_team the columnar ones
+replaced: a sort of InteractionEvents by (timestamp, sender, recipient)
+and a per-event roster lookup. event_log builds an EventLog from events as
+given, with no cleaning.
 
 InteractionEvent, the one-object-per-event form the package does not
 have, lives here: columns turns a list of them into the EventColumns that
@@ -159,13 +160,6 @@ def bc_floyd_warshall_batch(adj: np.ndarray) -> np.ndarray:
         ok[:, :, v] = False
         bc[:, v] = np.where(ok, through / safe_sigma, 0.0).sum(axis=(1, 2))
     return bc
-
-
-def bc_floyd_warshall(n: int, edges: set[tuple[int, int]]) -> list[float]:
-    adj = np.zeros((1, n, n), dtype=bool)
-    for i, j in edges:
-        adj[0, i, j] = True
-    return list(bc_floyd_warshall_batch(adj)[0])
 
 
 def pair_distances(n: int, edges: set[tuple[int, int]]) -> dict[tuple[int, int], int]:

@@ -92,19 +92,6 @@ class TestMetrics:
         assert lines[0] == "team_id,n_actors,n_events,rl,rc,prt_fn,prt_et_seconds,n_closed_frames"
         assert lines[1].startswith("ALL,2,8,0.000000,")
 
-    def test_byte_identical_runs(self, tmp_path):
-        events = clean_events_file(tmp_path)
-        teams = write(
-            tmp_path, "teams.csv",
-            "team_id,member\n" + "\n".join(f"g1,u{i}" for i in range(5)) + "\n",
-        )
-        args = ["metrics", "--events", str(events), "--teams", str(teams),
-                "--window", "2h", "--step", "1h"]
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert (out1 / "signals.csv").read_bytes() == (out2 / "signals.csv").read_bytes()
-
     def test_empty_team_skipped_with_warning(self, tmp_path, capsys):
         events = alternating_events_file(tmp_path)
         teams = write(tmp_path, "teams.csv", "team_id,member\ng1,a\ng1,b\ng2,zz\n")
@@ -388,26 +375,6 @@ class TestCorrelate:
             written.append((out / "correlations.csv").read_text())
         assert written[1] == written[0]
         assert len(written[0].splitlines()) == 1 + len(SIGNAL_FIELDS)
-
-    def test_jobs_flag_equivalent(self, tmp_path):
-        scenario = {
-            "teams": [
-                {"team_id": f"t{i}", "n_actors": 4, "duration": "2d",
-                 "mean_event_rate": 12.0, "rotation_period": "12h",
-                 "reply_delay": {"kind": "fixed", "seconds": 60}, "seed": 30 + i}
-                for i in range(3)
-            ]
-        }
-        scen_path = write(tmp_path, "scenario.json", json.dumps(scenario))
-        synth_dir = tmp_path / "synth"
-        assert main(["synth", "--scenario", str(scen_path), "--out", str(synth_dir)]) == 0
-        base = ["metrics", "--events", str(synth_dir / "events.csv"),
-                "--teams", str(synth_dir / "teams.csv"), "--window", "6h", "--step", "90m"]
-        assert main(base + ["--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
-        assert main(base + ["--out", str(tmp_path / "j2"), "--jobs", "2"]) == 0
-        assert (tmp_path / "j1" / "signals.csv").read_bytes() == (
-            tmp_path / "j2" / "signals.csv"
-        ).read_bytes()
 
     def test_team_without_events_is_excluded_with_a_warning(self, tmp_path, capsys):
         events = write(tmp_path, "events.csv", EVENTS_HEADER + "0,a,b\n3600,b,a\n7200,a,b\n")

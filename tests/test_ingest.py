@@ -293,6 +293,12 @@ class TestOneIngestLoop:
         rows = [("100", "a", ["b"]), ("200", "b", ["a"]), ("300", "  ", ["a"])]
         assert _same_error(tmp_path, rows) == (3, "empty actor token: '  '")
 
+    def test_control_character_in_actor_token(self, tmp_path):
+        rows = [("100", "a", ["b"]), ("200", "b", ["c", "a\a"])]
+        assert _same_error(tmp_path, rows) == (
+            2, "control character U+0007 in actor token: 'a\\x07'"
+        )
+
 
 def test_expansion_preserves_record_count(tmp_path):
     rows = ["timestamp,sender,recipients"]

@@ -31,6 +31,14 @@ class TestNormalizeActor:
         with pytest.raises(ValueError):
             normalize_actor("   ")
 
+    def test_control_character_rejected(self):
+        # C0 and C1 controls left after trimming; strip() takes U+001F as space
+        for raw, code in [("b\0x", "0000"), (" K\a ", "0007"), ("a\x7f", "007F"),
+                          ("b\x85c", "0085"), ("\x9fÜ", "009F")]:
+            with pytest.raises(ValueError, match=f"^control character U\\+{code} in actor token: "):
+                normalize_actor(raw)
+        assert normalize_actor("\x1fa\t") == "a"
+
 
 class TestValidateLog:
     def test_dedup_and_self_loop(self):
@@ -51,11 +59,6 @@ class TestValidateLog:
         cleaned = validate_log(columns([ev("b", "a", 5), ev("a", "b", 3)]))
         assert events_of(cleaned.log) == (ev("a", "b", 3), ev("b", "a", 5))
         assert (cleaned.log.t_start, cleaned.log.t_end) == (3, 5)
-
-    def test_idempotent(self):
-        first = validate_log(columns([ev("b", "a", 5), ev("a", "b", 3), ev("a", "b", 3)])).log
-        second = validate_log(first).log
-        assert first == second
 
 
 events_strategy = st.lists(

@@ -5,7 +5,7 @@ bit for bit, not approximately.
 """
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -233,51 +233,12 @@ def test_edge_leaving_and_reentering_in_one_step_keeps_scores():
     assert [values[1] for _, _, values in rows] == [1.0, 1.0]  # b, in roster order a, b, c
 
 
-def _brandes_reference(adjacency):
-    """The Brandes loop before the trim: a deque and n pred lists per source."""
-    n = len(adjacency)
-    bc = [0.0] * n
-    for s in range(n):
-        if not adjacency[s]:
-            continue
-        dist = [-1] * n
-        sigma = [0] * n
-        preds = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        queue = deque([s])
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                bc[w] += delta[w]
-    return bc
-
-
+# any graph on 1 to 9 nodes, without self-loops
 graphs = st.integers(1, 9).flatmap(
     lambda n: st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))).map(
         lambda edges: [sorted(j for i, j in edges if i == v and j != v) for v in range(n)]
     )
 )
-
-
-@settings(deadline=None)
-@given(graphs)
-def test_brandes_trim_is_bit_identical(adjacency):
-    assert brandes_betweenness(adjacency) == _brandes_reference(adjacency)
 
 
 @st.composite
@@ -306,6 +267,7 @@ def depth_one_graphs(draw):
     return [sorted(j for i, j in edges if i == v and j != v) for v in range(n)]
 
 
+# the skip's own cases and any small graph: the kernel against the loop without it
 @settings(deadline=None, max_examples=300)
 @given(st.one_of(depth_one_graphs(), graphs))
 # a star with a 2-cycle: source 0 is skipped, as each successor is a sink or

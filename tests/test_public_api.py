@@ -108,6 +108,34 @@ def test_every_public_function_is_used():
     assert unused == []
 
 
+def test_every_oracle_is_used():
+    # a public function or class of tests/oracles.py is read by some
+    # tests/test_*.py, by a name imported from oracles or as oracles.<name>;
+    # an import alone does not count, nor a use inside oracles.py
+    tests = README.parent / "tests"
+    used = set()
+    for path in tests.glob("test_*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {
+            alias.asname or alias.name: alias.name
+            for node in nodes
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+            for alias in node.names
+        }
+        used |= {imported[node.id] for node in nodes
+                 if isinstance(node, ast.Name) and node.id in imported}
+        used |= {node.attr for node in nodes
+                 if isinstance(node, ast.Attribute) and _name(node.value) == "oracles"}
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    orphans = [
+        node.name
+        for node in oracles.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert orphans == []
+
+
 def _name(expr: ast.expr) -> str | None:
     """The name a Name or an Attribute ends in, such as replace for dataclasses.replace."""
     return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)

