@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 from reference import clean_events, compute  # noqa: E402
 from teamsignals.ingest import parse_events, parse_teams  # noqa: E402
-from teamsignals.model import Team, partition_by_team, validate_log  # noqa: E402
+from teamsignals.model import partition_by_team, validate_log  # noqa: E402
 from teamsignals.signals import prompt_response_time  # noqa: E402
 
 failed: list[str] = []
@@ -109,8 +109,9 @@ def check_workload(name: str, work: Path) -> None:
           [f"exit code {done.returncode}"] * (done.returncode != 0)
           + [f"{key} {counts.get(key)}" for key in want if counts.get(key) != want[key]])
 
-    teams = parse_teams(work / "in" / "teams.csv") if wl.teams else [Team("ALL")]
-    team_logs, _ = partition_by_team(validate_log(parse_events(events_file)).log, teams)
+    log = validate_log(parse_events(events_file)).log  # without a roster, the one team ALL
+    team_logs = (partition_by_team(log, parse_teams(work / "in" / "teams.csv"))[0]
+                 if wl.teams else {"ALL": log})
     ref = compute(wl)["teams"]
     missed = [t for t, log in team_logs.items() if t not in ref
               or (prompt_response_time(log, "et"), prompt_response_time(log, "fn"))

@@ -99,16 +99,16 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _team_options(args) -> tuple[list[Team], WindowConfig]:
+def _team_options(args) -> tuple[list[Team] | None, WindowConfig]:
     """metrics' and correlate's options, checked before the events file: --jobs, roster, grid."""
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    teams = parse_teams(args.teams) if args.teams else [Team("ALL")]
+    teams = parse_teams(args.teams) if args.teams else None
     return teams, _window_config(args)
 
 
 def _team_signals(
-    args, teams: list[Team], cfg: WindowConfig
+    args, teams: list[Team] | None, cfg: WindowConfig
 ) -> tuple[dict[str, TeamSignals], list[str]]:
     """Each team's signals, and the ids of teams with no events, both in roster order."""
     log = _load_log(args).log
@@ -119,7 +119,7 @@ def _team_signals(
             f"the window grid has {n_windows} window(s), fewer than "
             f"{MIN_PRESENCE_RUN}: RL and RC are 0 for every team"
         )
-    team_logs, skipped = partition_by_team(log, teams)
+    team_logs, skipped = partition_by_team(log, teams) if teams else ({"ALL": log}, [])
     if args.jobs > 1 and len(team_logs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
@@ -186,6 +186,13 @@ def cmd_correlate(args) -> int:
         raise ConfigError("correlate requires --depvars")
     teams, cfg = _team_options(args)
     depvars = parse_dependent_variables(args.depvars)
+    # no roster-sized set outlives this line: one held through the team
+    # pipeline raises correlate's peak RSS
+    unknown = sorted({team_id for team_id, _ in depvars}.difference(
+        [team.team_id for team in teams] if teams else ["ALL"]))
+    if unknown:
+        warnings.warn(f"{args.depvars}: {len(unknown)} team id(s) not in the roster, ignored: "
+                      + ", ".join(map(repr, unknown[:5])))
     signals, skipped = _team_signals(args, teams, cfg)
     for team_id in skipped:
         warnings.warn(f"team {team_id!r} has no events, excluded")

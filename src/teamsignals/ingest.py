@@ -31,7 +31,8 @@ from array import array
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
-from .model import MAX_TIMESTAMP, MIN_TIMESTAMP, ActorId, EventColumns, Team, normalize_actor
+from .model import (MAX_TIMESTAMP, MIN_TIMESTAMP, ActorId, EventColumns, Team,
+                     _control_character, normalize_actor)
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -126,6 +127,13 @@ def _new_actor(ids: dict[str, int], names: list[ActorId], raw: str, path, line: 
     if actor == len(names):
         names.append(name)
     return actor
+
+
+def _check_id(text: str, field: str, path, line: int) -> None:
+    """A ParseError if a team id or variable name holds a C0 or C1 control character."""
+    control = _control_character(text)
+    if control:
+        raise ParseError(path, line, f"control character U+{ord(control):04X} in {field}: {text!r}")
 
 
 _NUL = "line contains NUL"  # the words of Python 3.10's csv.Error
@@ -301,7 +309,10 @@ def parse_teams(path) -> list[Team]:
         if not team_id:
             raise ParseError(path, line, "empty team_id")
         member = names[ids[row[1]] if row[1] in ids else _new_actor(ids, names, row[1], path, line)]
-        roster = members.setdefault(team_id, set())
+        roster = members.get(team_id)
+        if roster is None:
+            _check_id(team_id, "team_id", path, line)
+            roster = members[team_id] = set()
         if member in roster:
             warnings.warn(f"{path}:{line}: duplicate member {member!r} in team {team_id!r}")
         roster.add(member)
@@ -322,6 +333,8 @@ def parse_dependent_variables(path) -> dict[tuple[str, str], float]:
         key = (row[0].strip(), row[1].strip())
         if not key[0] or not key[1]:
             raise ParseError(path, line, "empty team_id or variable_name")
+        _check_id(key[0], "team_id", path, line)
+        _check_id(key[1], "variable_name", path, line)
         if key in values:
             raise ParseError(path, line, f"duplicate (team_id, variable) {key}")
         try:

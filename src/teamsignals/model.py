@@ -29,20 +29,30 @@ class EmptyLogError(ValueError):
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
+def _control_character(text: str) -> str | None:
+    """The first C0 or C1 control character in text, or None if it has none."""
+    if text.isascii() and text.isprintable():  # printable ASCII needs no search
+        return None
+    control = _CONTROL.search(text)
+    return control[0] if control else None
+
+
 def normalize_actor(raw: str) -> ActorId:
     """Canonical actor token: whitespace-trimmed, Unicode lowercase.
 
     Two raw tokens denote the same actor iff their normalized forms are
     byte-equal. Raises ValueError for tokens that are empty after trimming,
-    or that hold a control character (U+0000-U+001F, U+007F-U+009F) after it.
+    or that hold a control character (U+0000-U+001F, U+007F-U+009F) or a
+    ';', the events CSV's recipient separator, after it.
     """
     token = raw.strip().lower()
     if not token:
         raise ValueError(f"empty actor token: {raw!r}")
-    if not (token.isascii() and token.isprintable()):  # printable ASCII needs no search
-        control = _CONTROL.search(token)
-        if control:
-            raise ValueError(f"control character U+{ord(control[0]):04X} in actor token: {raw!r}")
+    control = _control_character(token)
+    if control:
+        raise ValueError(f"control character U+{ord(control):04X} in actor token: {raw!r}")
+    if ";" in token:
+        raise ValueError(f"';' in actor token: {raw!r}")
     return token
 
 
@@ -80,10 +90,10 @@ class EventLog:
 
 @dataclass(frozen=True)
 class Team:
-    """A named set of actors; an empty member set means "all actors in log"."""
+    """A named set of actors: a roster."""
 
     team_id: str
-    members: frozenset[ActorId] = frozenset()
+    members: frozenset[ActorId]
 
     def __post_init__(self) -> None:
         if not self.team_id:
@@ -157,10 +167,10 @@ def partition_by_team(
 
     This is the one place a roster is applied. Rosters may overlap: an
     event goes to every team whose roster holds both its sender and its
-    recipient. A team with an empty member set gets the log unchanged.
-    Returns the team logs keyed by team_id, in the order of ``teams``, and
-    the ids of teams left with no events, which get no log. Every team log
-    keeps the full log's range and numbers its own actors in name order.
+    recipient. Returns the team logs keyed by team_id, in the order of
+    ``teams``, and the ids of teams left with no events, which get no log:
+    a team with no members is one of them. Every team log keeps the full
+    log's range and numbers its own actors in name order.
     """
     teams_of: dict[ActorId, tuple[int, ...]] = {}
     for i, team in enumerate(teams):
@@ -185,9 +195,7 @@ def partition_by_team(
     team_logs: dict[str, EventLog] = {}
     skipped: list[str] = []
     for team, kept in zip(teams, rows):
-        if not team.members:
-            team_logs[team.team_id] = log
-        elif not kept:
+        if not kept:
             skipped.append(team.team_id)
         else:  # the kept rows, over their own actors renumbered in name order
             us = [senders[i] for i in kept]

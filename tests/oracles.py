@@ -7,11 +7,10 @@ counts, no depth-1 skip: the kernel's bits) and brandes_exact (that loop
 in exact rationals); pair_distances for the scores' global sum. Extrema by
 a groupby scan, frame counts by direction-reversal counting, PRT from the
 frames that segment_frames builds (prt_from_frames), a team log by a plain
-filter over the events. validate_events and partition_events are the
-object-based validate_log and partition_by_team the columnar ones
-replaced: a sort of InteractionEvents by (timestamp, sender, recipient)
-and a per-event roster lookup. event_log builds an EventLog from events as
-given, with no cleaning.
+filter over the events (restrict_to_team). validate_events is the
+object-based validate_log the columnar one replaced: a sort of
+InteractionEvents by (timestamp, sender, recipient). event_log builds an
+EventLog from events as given, with no cleaning.
 
 InteractionEvent, the one-object-per-event form the package does not
 have, lives here: columns turns a list of them into the EventColumns that
@@ -385,49 +384,11 @@ def validate_events(raw_events) -> tuple[tuple[InteractionEvent, ...], int, int]
     return tuple(deduped), dropped, collapsed
 
 
-def partition_events(events, teams) -> tuple[dict[str, tuple[InteractionEvent, ...]], list[str]]:
-    """partition_by_team over a clean log's events, one roster lookup per event.
-
-    Returns each team's events by team_id, in the order of teams (every
-    event for an empty roster), and the ids of the teams left with none.
-    """
-    member_of: dict[ActorId, tuple[int, ...]] = {}
-    for i, team in enumerate(teams):
-        only = (i,)  # shared by every actor in this team alone
-        for actor in team.members:
-            prior = member_of.get(actor)
-            member_of[actor] = only if prior is None else prior + only
-    kept: list[list[InteractionEvent]] = [[] for _ in teams]
-    for e in events:
-        senders = member_of.get(e.sender)
-        if senders is None:
-            continue
-        recipients = member_of.get(e.recipient)
-        if recipients is None:
-            continue
-        for i in senders:
-            if i in recipients:
-                kept[i].append(e)
-    team_events: dict[str, tuple[InteractionEvent, ...]] = {}
-    skipped: list[str] = []
-    for team, mine in zip(teams, kept):
-        if not team.members:
-            team_events[team.team_id] = tuple(events)
-        elif mine:
-            team_events[team.team_id] = tuple(mine)
-        else:
-            skipped.append(team.team_id)
-    return team_events, skipped
-
-
 def restrict_to_team(log: EventLog, team: Team) -> EventLog:
     """Keep only events whose sender AND recipient are team members.
 
-    With an empty member set the log is returned unchanged; the time range
-    is preserved either way. Raises EmptyLogError when nothing remains.
+    The time range is preserved. Raises EmptyLogError when nothing remains.
     """
-    if not team.members:
-        return log
     kept = [e for e in events_of(log) if e.sender in team.members and e.recipient in team.members]
     if not kept:
         raise EmptyLogError(f"empty team log for team {team.team_id!r}")

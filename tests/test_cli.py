@@ -388,6 +388,21 @@ class TestCorrelate:
             f"warning: skipping (y, {signal}): only 1 paired teams\n" for signal in SIGNAL_FIELDS
         ) + "error: no (variable, signal) cell with 3+ jointly defined teams\n"
 
+    def test_depvars_teams_outside_the_roster_warn_once(self, tmp_path, capsys):
+        base = self.four_teams(tmp_path)
+        depvars = write(tmp_path, "depvars.csv", "team_id,variable_name,value\n" + "".join(
+            f"{team},y,{v}\n" for team, v in [("t0", 3), ("T09", 5), ("t1", 1), ("t2", 4),
+                                              ("t99", 6), ("t3", 2)]))
+        out = ["--depvars", str(depvars), "--out", str(tmp_path / "o")]
+        assert main(["correlate", *base, *out]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {depvars}: 2 team id(s) not in the roster, ignored: 'T09', 't99'\n")
+        # without --teams the roster is the one team ALL; five ids are named
+        assert main(["correlate", *base[:2], *base[4:], *out]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"warning: {depvars}: 6 team id(s) not in the roster, ignored: "
+            "'T09', 't0', 't1', 't2', 't3'\n")
+
     def test_rows_and_warnings_in_roster_id_order(self, tmp_path, capsys):
         # a roster listed out of id order, with two teams that have no events
         base = self.four_teams(tmp_path)
@@ -687,10 +702,20 @@ class TestInputErrorsExitTwo:
              "unused.txt", "", "cannot parse duration '\u0667h' (use e.g. 45s, 90m, 12h, 7d)"),
             (["metrics", "--events", "{events}", "--window", "1" * 5000 + "h", "--out", "{out}"],
              "unused.txt", "", f"duration {'1' * 40 + '…'!r} has more than 4300 digits"),
+            (["metrics", "--events", "{events}", "--teams", "{file}", "--out", "{out}"],
+             "teams.csv", "team_id,member\ng1,a\nt\ax,b\n",
+             "{file}:3: control character U+0007 in team_id: 't\\x07x'"),
+            (["correlate", "--events", "{events}", "--depvars", "{file}", "--out", "{out}"],
+             "depvars.csv", "team_id,variable_name,value\ng1,y,1\ng\x9f2,y,2\n",
+             "{file}:3: control character U+009F in team_id: 'g\\x9f2'"),
+            (["correlate", "--events", "{events}", "--depvars", "{file}", "--out", "{out}"],
+             "depvars.csv", "team_id,variable_name,value\ng1,v\x01,1\n",
+             "{file}:2: control character U+0001 in variable_name: 'v\\x01'"),
         ],
         ids=["empty", "header", "jsonl-keys", "team-id", "depvar-key", "no-depvars", "pick-team",
              "events-width", "depvars-width", "teams-width", "jsonl-duplicate-key", "jsonl-bom",
-             "duration-digits", "duration-long-count"],
+             "duration-digits", "duration-long-count", "team-id-control", "depvar-team-control",
+             "variable-name-control"],
     )
     def test_error_line(self, tmp_path, capsys, argv, name, text, message):
         where = {"events": alternating_events_file(tmp_path), "file": write(tmp_path, name, text),

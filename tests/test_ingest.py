@@ -300,6 +300,23 @@ class TestOneIngestLoop:
         )
 
 
+@pytest.mark.parametrize(
+    "name, text, line",
+    [
+        # the CSV recipients field splits at ';', so only a sender can hold one
+        ("events.csv", "timestamp,sender,recipients\n0,a,b\n10,b;c,a\n", 3),
+        ("events.jsonl", '{"timestamp": 0, "sender": "a", "recipients": ["b;c"]}\n', 1),
+        ("teams.csv", "team_id,member\nt1,a\nt1,b;c\n", 3),
+    ],
+    ids=["csv-sender", "jsonl-recipient", "roster-member"],
+)
+def test_semicolon_in_actor_token(tmp_path, name, text, line):
+    path = write(tmp_path, name, text)
+    with pytest.raises(ParseError) as info:
+        (parse_teams if name == "teams.csv" else parse_events)(path)
+    assert str(info.value) == f"{path}:{line}: ';' in actor token: 'b;c'"
+
+
 def test_expansion_preserves_record_count(tmp_path):
     rows = ["timestamp,sender,recipients"]
     expected = 0

@@ -107,8 +107,9 @@ class TestRestrictToTeam:
         assert all({e.sender, e.recipient} <= {"a", "b"} for e in events_of(kept))
         assert len(kept) == 2
 
-    def test_empty_members_means_all(self):
-        assert restrict_to_team(self.log, Team("all")) == self.log
+    def test_empty_roster_has_no_events(self):
+        with pytest.raises(EmptyLogError):
+            restrict_to_team(self.log, Team("none", frozenset()))
 
     def test_explicit_full_roster_is_identity(self):
         everyone = Team("all", frozenset("abc"))
@@ -129,7 +130,7 @@ class TestRestrictToTeam:
 
     def test_empty_team_id(self):
         with pytest.raises(ValueError):
-            Team("")
+            Team("", frozenset("a"))
 
 
 # raw tokens: " A " and "a" normalize to one actor, as do "B" and "b"
@@ -140,7 +141,7 @@ raw_rows = st.lists(
 )
 # stamps of self-loops of "solo", an actor seen in no other event
 solo_stamps = st.lists(st.integers(-3, 3), max_size=3)
-# rosters overlap, may name "solo" and "x" (never in an event), and may be empty (ALL)
+# rosters overlap, may name "solo" and "x" (never in an event), and may be empty (no events)
 rosters = st.lists(st.frozensets(st.sampled_from(["a", "b", "c", "d", "solo", "x"])), max_size=4)
 
 
@@ -170,8 +171,10 @@ def test_columnar_path_equals_the_object_oracle(tmp_path, rows, solo, members, r
 
     teams = [Team(f"t{i}", m) for i, m in enumerate(members)]
     team_logs, skipped = partition_by_team(cleaned.log, teams)
-    expected_events, expected_skipped = oracles.partition_events(expected, teams)
-    assert skipped == expected_skipped
+    kept = {t.team_id: tuple(e for e in expected if {e.sender, e.recipient} <= t.members)
+            for t in teams}
+    expected_events = {team_id: events for team_id, events in kept.items() if events}
+    assert skipped == [team_id for team_id, events in kept.items() if not events]
     assert list(team_logs) == list(expected_events)
     for team_id, team_log in team_logs.items():
         assert events_of(team_log) == expected_events[team_id]

@@ -66,7 +66,7 @@ logs = (
     .map(lambda rows: validate_log(columns([InteractionEvent(s, r, 900 * t) for s, r, t in rows])).log)
 )
 # overlapping rosters, roster actors absent from the log, and rosters with
-# no events; an empty roster is the whole log
+# no events, such as an empty roster
 team_lists = st.lists(
     st.frozensets(st.sampled_from(ROSTER_ACTORS), max_size=5), min_size=1, max_size=6
 ).map(lambda rosters: [Team(f"t{i}", members) for i, members in enumerate(rosters)])
@@ -169,10 +169,10 @@ def _team_logs(draw):
     lead = draw(st.integers(0, 4 * 3600))
     log = replace(log, t_start=log.t_start - lead)
     members = draw(st.frozensets(st.sampled_from(LOG_ACTORS)))
-    if members:  # with one event's ends, so the team log is never empty
-        kept = draw(st.sampled_from(events_of(log)))
-        members |= {kept.sender, kept.recipient}
-    return oracles.restrict_to_team(log, Team("t", members))
+    if not members:
+        return log
+    kept = draw(st.sampled_from(events_of(log)))  # its ends, so the team log is never empty
+    return oracles.restrict_to_team(log, Team("t", members | {kept.sender, kept.recipient}))
 
 
 team_logs = _team_logs()

@@ -51,6 +51,9 @@ COMMANDS = [
     # and a control character in a JSON Lines actor
     ["validate", "--events", "nul.csv"],
     ["validate", "--events", "control.jsonl"],
+    # a ';' in a JSON Lines recipient and a BEL in a roster's team id
+    ["validate", "--events", "semicolon.jsonl"],
+    ["metrics", "--events", "events.csv", "--teams", "bel_teams.csv", *WINDOW, "--out", "b"],
 ]
 
 # floats printed in full: pearson_r, its p_value (n from 3 to 30, so both
@@ -141,6 +144,8 @@ def _write_fixture(root: Path) -> None:
         "nul.csv": "timestamp,sender,recipients\n100,a,b\0x\n200,b,a\n",
         "control.jsonl": '{"timestamp": 100, "sender": "a", "recipients": ["b"]}\n'
         '{"timestamp": 200, "sender": "k\\u0000", "recipients": ["a"]}\n',
+        "semicolon.jsonl": '{"timestamp": 100, "sender": "a", "recipients": ["b;c"]}\n',
+        "bel_teams.csv": "team_id,member\nt1,a\nt\ax,b\n",
     }
     for name, text in files.items():
         (root / name).write_text(text, encoding="utf-8")
@@ -182,9 +187,9 @@ def _find_python(version: str) -> str | None:
 def reference(tmp_path_factory):
     results = _run_all(sys.executable, tmp_path_factory.mktemp(f"py{CURRENT}"))
     codes = [code for code, *_ in results]
-    # the fixture exercises both outcomes: the eight malformed files and the
+    # the fixture exercises both outcomes: the ten malformed files and the
     # two overlong numbers fail, the rest succeed
-    assert codes == [0] * 8 + [2] * 6 + [0] + [2] * 4 + [0]
+    assert codes == [0] * 8 + [2] * 6 + [0] + [2] * 6 + [0]
     assert results[4][3]["correlations.csv"].count(b"\n") > 1
     assert b"warning: " in results[4][2] and b"warning: " in results[14][2]
     return results
