@@ -22,7 +22,6 @@ import os
 import sys
 import warnings
 from array import array
-from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -91,7 +90,7 @@ def _pick_team(teams: list[Team], name: str | None) -> Team:
 def cmd_validate(args) -> int:
     cleaned = _load_log(args)
     log = cleaned.log
-    print(f"events: {len(log)}")
+    print(f"events: {len(log.stamps)}")
     print(f"actors: {len(log.names)}")
     print(f"range: {format_timestamp(log.t_start)} .. {format_timestamp(log.t_end)}")
     print(f"dropped self-loops: {cleaned.dropped_self_loops}")
@@ -210,6 +209,8 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from dataclasses import replace  # here only: no other command imports dataclasses
+
     from .synth import generate, load_scenario_file
 
     entries = load_scenario_file(args.scenario)

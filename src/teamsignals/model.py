@@ -4,13 +4,18 @@ Everything here is immutable after construction; the operations are pure
 functions, so values can be shared freely across threads or processes.
 Timestamps are kept as integer epoch seconds (UTC) throughout. Events are
 kept in columns, not as objects: see EventColumns.
+
+The records (EventColumns, EventLog, Team, CleanedLog) are typing.NamedTuple
+classes: a field cannot be assigned, and ``record._replace(field=value)``
+returns a copy with a changed field, checked as the constructor checks it.
+Being tuples, len() of a record counts its fields; a log's event count is
+``len(log.stamps)``.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 ActorId = str
@@ -69,12 +74,12 @@ class EventColumns(NamedTuple):
     recipients: array  # "i"
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(NamedTuple):
     """validate_log's columns, as in EventColumns, with their closed time range.
 
     names are sorted, and each is in a row; rows are sorted by (timestamp,
-    sender, recipient), with no self-loop or duplicate.
+    sender, recipient), with no self-loop or duplicate. len(log.stamps) is
+    the number of events.
     """
 
     names: tuple[ActorId, ...]
@@ -84,24 +89,28 @@ class EventLog:
     t_start: int
     t_end: int
 
-    def __len__(self) -> int:
-        return len(self.stamps)
 
-
-@dataclass(frozen=True)
-class Team:
-    """A named set of actors: a roster."""
-
+class _Team(NamedTuple):
     team_id: str
     members: frozenset[ActorId]
 
-    def __post_init__(self) -> None:
-        if not self.team_id:
+
+class Team(_Team):
+    """A named set of actors: a roster. Raises ValueError for an empty team_id."""
+
+    __slots__ = ()
+
+    def __new__(cls, team_id: str, members: frozenset[ActorId]) -> Team:
+        if not team_id:
             raise ValueError("team_id must be non-empty")
+        return super().__new__(cls, team_id, members)
+
+    @classmethod
+    def _make(cls, iterable) -> Team:  # _replace builds its copy here: check it too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class CleanedLog:
+class CleanedLog(NamedTuple):
     """validate_log output: the clean log plus what was removed to get it."""
 
     log: EventLog

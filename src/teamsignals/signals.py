@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .model import EventLog
 from .windows import WindowConfig, _window_rows
@@ -34,12 +33,13 @@ ResponseVariant = Literal["et", "fn"]
 MIN_PRESENCE_RUN = 3
 
 
-@dataclass(frozen=True)
-class TeamSignals:
+class TeamSignals(NamedTuple):
     """All four computed signals for one team, with the counts behind them.
 
     prt_et is in seconds; prt_et/prt_fn are None exactly when the team has
     no closed frames. n_actors and n_events count the team log's actors and events.
+    An immutable typing.NamedTuple, so it pickles as a tuple for the --jobs
+    pool; ``sig._replace(rl=...)`` is a copy with a changed field.
     """
 
     rl: float
@@ -174,4 +174,4 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
             rl.feed(bc_row, presence, changed)
             rc.feed(ci_row, presence, changed)
     return TeamSignals(rl=rl.total / n, rc=rc.total / n, prt_et=prt_et, prt_fn=prt_fn,
-                       n_actors=n, n_events=len(team_log), n_closed_frames=n_closed)
+                       n_actors=n, n_events=len(team_log.stamps), n_closed_frames=n_closed)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .signals import TeamSignals
 
@@ -99,8 +98,7 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class CorrelationCell:
+class CorrelationCell(NamedTuple):
     """One (dependent variable, signal) correlation with its significance."""
 
     variable_name: str

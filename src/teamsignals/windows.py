@@ -42,8 +42,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right, insort
-from dataclasses import dataclass
-from typing import Collection, Iterator, Literal, Sequence
+from typing import Collection, Iterator, Literal, NamedTuple, Sequence
 
 from .ingest import _echo
 from .model import MAX_TIMESTAMP, ActorId, EventLog
@@ -74,29 +73,36 @@ def parse_duration(text: str) -> int:
     return int(count or "0") * _DURATION_UNITS[m.group(2).lower()]
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    """Window length and step in seconds.
-
-    step must not exceed window_size: windows tile or overlap, never gap.
-    """
-
+class _WindowConfig(NamedTuple):
     window_size: int
     step: int
 
-    def __post_init__(self) -> None:
-        if self.window_size <= 0:
-            raise ConfigError(f"window_size must be positive, got {self.window_size}")
-        if self.step <= 0:
-            raise ConfigError(f"step must be positive, got {self.step}")
-        if self.step > self.window_size:
-            raise ConfigError(
-                f"step ({self.step}) larger than window_size ({self.window_size}) leaves gaps"
-            )
+
+class WindowConfig(_WindowConfig):
+    """Window length and step in seconds.
+
+    step must not exceed window_size: windows tile or overlap, never gap.
+    Like every record here it is an immutable typing.NamedTuple; a copy with
+    a changed field is ``cfg._replace(step=...)``, checked as a new one is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, window_size: int, step: int) -> WindowConfig:
+        if window_size <= 0:
+            raise ConfigError(f"window_size must be positive, got {window_size}")
+        if step <= 0:
+            raise ConfigError(f"step must be positive, got {step}")
+        if step > window_size:
+            raise ConfigError(f"step ({step}) larger than window_size ({window_size}) leaves gaps")
+        return super().__new__(cls, window_size, step)
+
+    @classmethod
+    def _make(cls, iterable) -> WindowConfig:  # _replace builds its copy here: check it too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class GraphSnapshot:
+class GraphSnapshot(NamedTuple):
     """Directed communication graph for one window.
 
     nodes is every actor of the log (those with no event in the window

@@ -203,7 +203,7 @@ def test_frame_segmentation_oracle():
         reversals = reversal_count([e.sender for e in events_of(log)])
         assert sum(f.closed for f in frames) == reversals
         # every event in exactly one frame; reversal events in exactly two
-        assert sum(f.event_count for f in frames) == len(log) + reversals
+        assert sum(f.event_count for f in frames) == len(log.stamps) + reversals
         for prev, nxt in zip(frames, frames[1:]):
             assert prev.closed and nxt.first_event == prev.last_event
     elapsed = time.perf_counter() - start
@@ -227,7 +227,7 @@ def test_synthetic_discrimination():
             # the range starts half an exchange gap before the first ping at
             # 0, so the left-open window edge never slices an exchange in two
             log = generate(scenario)
-            log = replace(log, t_start=-(rotating.exchange_gap // 2))
+            log = log._replace(t_start=-(rotating.exchange_gap // 2))
             scores[name] = (
                 rotating_signal(series(log, cfg, "bc")),
                 rotating_signal(series(log, cfg, "ci")),

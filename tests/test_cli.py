@@ -515,7 +515,7 @@ class TestSynthCommand:
         assert (cleaned.dropped_self_loops, cleaned.collapsed_duplicates) == (0, 0)
         team_logs, skipped = partition_by_team(cleaned.log, parse_teams(out_dir / "teams.csv"))
         assert skipped == []
-        assert sum(map(len, team_logs.values())) == len(cleaned.log)
+        assert sum(len(t.stamps) for t in team_logs.values()) == len(cleaned.log.stamps)
         for team_id, scen in load_scenario_file(scen_path):
             ours, theirs = team_logs[team_id], generate(scen, actor_prefix=f"{team_id}.")
             assert (ours.names, ours.stamps, ours.senders, ours.recipients) == (

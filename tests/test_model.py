@@ -105,7 +105,7 @@ class TestRestrictToTeam:
     def test_both_endpoints_required(self):
         kept = restrict_to_team(self.log, Team("t", frozenset("ab")))
         assert all({e.sender, e.recipient} <= {"a", "b"} for e in events_of(kept))
-        assert len(kept) == 2
+        assert len(kept.stamps) == 2
 
     def test_empty_roster_has_no_events(self):
         with pytest.raises(EmptyLogError):

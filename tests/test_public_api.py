@@ -141,32 +141,39 @@ def _name(expr: ast.expr) -> str | None:
     return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _is_record(node: ast.ClassDef) -> bool:
+    """A @dataclass or a typing.NamedTuple class."""
     return any(
         _name(deco.func if isinstance(deco, ast.Call) else deco) == "dataclass"
         for deco in node.decorator_list
-    )
+    ) or any(_name(base) == "NamedTuple" for base in node.bases)
 
 
 def test_every_defaulted_dataclass_field_is_set_somewhere():
     # a field with a default that no call in the package ever passes is a
-    # setting with one value in use: a constant, not an option
+    # setting with one value in use: a constant, not an option. Records are
+    # dataclasses and NamedTuples, and a subclass that checks a NamedTuple's
+    # fields in __new__ (WindowConfig of _WindowConfig) is called for them
     src = README.parent / "src" / "teamsignals"
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
     fields: dict[str, list[tuple[str, bool]]] = {}  # class -> (field, has a default), in order
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                fields[node.name] = [
-                    (stmt.target.id, stmt.value is not None)
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                ]
+    classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for node in classes:
+        if _is_record(node):
+            fields[node.name] = [
+                (stmt.target.id, stmt.value is not None)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    for node in classes:
+        record_bases = [_name(base) for base in node.bases if _name(base) in fields]
+        if record_bases and node.name not in fields:
+            fields[node.name] = fields[record_bases[0]]
     passed: set[tuple[str, str]] = set()
     for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
         name = _name(node.func)
         keywords = {kw.arg for kw in node.keywords}
-        if name == "replace":  # dataclasses.replace, on a value of any dataclass
+        if name in ("replace", "_replace"):  # dataclasses.replace or NamedTuple._replace
             passed |= {(c, f) for c, fs in fields.items() for f, _ in fs if f in keywords}
         elif name in fields:
             by_position = [f for f, _ in fields[name][: len(node.args)]]

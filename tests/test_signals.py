@@ -327,6 +327,6 @@ def test_frames_properties_hypothesis(pairs):
     frames = segment_frames(log, "x", "y")
     reversals = reversal_count([e.sender for e in events_of(log)])
     assert sum(f.closed for f in frames) == reversals
-    assert sum(f.event_count for f in frames) == len(log) + reversals
+    assert sum(f.event_count for f in frames) == len(log.stamps) + reversals
     assert all(f.event_count >= 2 for f in frames if f.closed)
     assert sum(not f.closed for f in frames) == 1

@@ -11,7 +11,6 @@ whole rows counts.
 
 import tracemalloc
 from collections import defaultdict
-from dataclasses import replace
 from operator import attrgetter
 
 from hypothesis import example, given, settings
@@ -98,7 +97,7 @@ def test_unchanged_rows_are_yielded_as_the_same_objects():
     # a-b at 0.5h and b-a at 4.5h; with 1h windows the one ending at t_start
     # and three between are empty
     events = [InteractionEvent("a", "b", HOUR // 2), InteractionEvent("b", "a", 9 * HOUR // 2)]
-    log = replace(validate_log(columns(events)).log, t_start=0)
+    log = validate_log(columns(events)).log._replace(t_start=0)
     got = list(_window_rows(log, WindowConfig(HOUR, HOUR), True))
     assert [end for end, *_ in got] == [0, HOUR, 2 * HOUR, 3 * HOUR, 4 * HOUR, 5 * HOUR]
     _, (_, p0, b0, c0, _), (_, p1, b1, c1, _), (_, p2, b2, c2, _), (_, p3, b3, c3, _), _ = got

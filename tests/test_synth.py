@@ -96,7 +96,7 @@ class TestGenerate:
         sc = scenario(n_actors=6, leader_share=0.6, duration=4 * DAY, seed=5)
         log = generate(sc)
         hub_events = sum(1 for e in events_of(log) if "a000" in (e.sender, e.recipient))
-        frac = hub_events / len(log)
+        frac = hub_events / len(log.stamps)
         assert abs(frac - 0.6) < 0.08
 
     def test_actor_prefix(self):

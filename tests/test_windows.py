@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -88,7 +87,7 @@ class TestGrid:
 
     def test_range_start_before_first_event(self):
         # a team log keeps the full log's range, which can start before its events
-        log = replace(validate_log(columns([ev("a", "b", 1800), ev("b", "a", 9000)])).log, t_start=0)
+        log = validate_log(columns([ev("a", "b", 1800), ev("b", "a", 9000)])).log._replace(t_start=0)
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         assert window_ends(log, cfg) == [0, HOUR, 2 * HOUR, 3 * HOUR]
 
@@ -196,7 +195,7 @@ def by_actor(rows, actors):
 class TestSeries:
     def test_alternating_directions_alternate_ci(self):
         events = [ev("a", "b", 1800), ev("b", "a", 5400), ev("a", "b", 9000), ev("b", "a", 12600)]
-        log = replace(validate_log(columns(events)).log, t_start=0, t_end=12600)
+        log = validate_log(columns(events)).log._replace(t_start=0, t_end=12600)
         cfg = WindowConfig(window_size=HOUR, step=HOUR)
         ws = by_actor(list(series(log, cfg, "ci")), "ab")
         # the first window ends at t_start = 0, before any event
@@ -257,10 +256,9 @@ class TestSeries:
 
 # logs whose range starts at or up to 1000 s before their first event, as a team log's can
 grid_logs = st.builds(
-    lambda a, b, lead: replace(
-        validate_log(columns([ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)])).log,
-        t_start=min(a, b) - lead,
-    ),
+    lambda a, b, lead: validate_log(
+        columns([ev("a", "b", min(a, b)), ev("b", "a", max(a, b) + 1)])
+    ).log._replace(t_start=min(a, b) - lead),
     st.integers(0, 10_000),
     st.integers(0, 10_000),
     st.integers(0, 1000),
