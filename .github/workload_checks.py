@@ -4,12 +4,14 @@ Per workload (seed 1) the inputs are written once, and each command runs once
 under PYTHONHASHSEED=1 as the baseline. metrics and correlate at --jobs 2,
 every command under PYTHONHASHSEED=2 (rosters are frozensets of strings) and
 on the inputs with the rows of every file shuffled must give its exit code
-(0), stderr and output files. Under three seeded actor relabellings, metrics
-must give the same teams the same rl and rc (the 1e-9 snap of betweenness
-hides the summation order that names set). validate's event and actor counts
-and each team's PRT (et and fn) must equal bench/reference.py's, computed
-from the generated rows without the program. Prints one line per comparison
-and a FAILED line per failure; exits 1 on any failure. Run from the root:
+(0), stderr and output files; the generated events are time-ordered, so this
+holds validate_log's block sort against its whole-log sort. Under three
+seeded actor relabellings, metrics must give the same teams the same rl and
+rc (the 1e-9 snap of betweenness hides the summation order that names set).
+validate's event and actor counts and each team's PRT (et and fn) must equal
+bench/reference.py's, computed from the generated rows without the program.
+Prints one line per comparison and a FAILED line per failure; exits 1 on any
+failure. Run from the root:
 PYTHONPATH=src python3 -B .github/workload_checks.py
 """
 

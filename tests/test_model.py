@@ -1,7 +1,12 @@
+import random
+from operator import attrgetter
+from unittest.mock import patch
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from teamsignals import model
 from teamsignals.ingest import parse_events
 from teamsignals.model import (
     EmptyLogError,
@@ -14,6 +19,7 @@ from teamsignals.model import (
 
 from . import oracles
 from .oracles import InteractionEvent, columns, events_of
+from .test_streaming import _traced_peak
 
 
 def ev(sender, recipient, ts):
@@ -94,6 +100,47 @@ def test_idempotence_property(events):
     assert again.log == once
     assert again.dropped_self_loops == 0
     assert again.collapsed_duplicates == 0
+
+
+# rows whose stamps never decrease, in drawn order within each second: many
+# rows a second, with duplicates and self-loops
+time_ordered_events = st.lists(
+    st.builds(
+        InteractionEvent,
+        sender=st.sampled_from("abcd"),
+        recipient=st.sampled_from("abcd"),
+        timestamp=st.integers(min_value=-3, max_value=4),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda events: sorted(events, key=attrgetter("timestamp")))
+
+
+def _cleaned(raw):
+    try:
+        return validate_log(raw)
+    except EmptyLogError:
+        return None
+
+
+@given(time_ordered_events, st.randoms())
+def test_time_ordered_blocks_equal_the_whole_sort(events, rng):
+    shuffled = rng.sample(events, len(events))
+    whole = _cleaned(columns(shuffled))
+    for block in (1, 2, 3):
+        with patch.object(model, "_BLOCK", block):
+            assert _cleaned(columns(events)) == whole
+
+
+def test_time_ordered_log_sorts_in_less_memory():
+    # 20,000 events among 40 actors, ten a second, none a self-loop
+    n = 40
+    events = [InteractionEvent(f"a{k % n:02d}", f"a{(7 * k + 1) % n:02d}", k // 10)
+              for k in range(20000)]
+    ordered = columns(events)
+    shuffled = columns(random.Random(1).sample(events, len(events)))
+    blocks = _traced_peak(lambda: validate_log(ordered))
+    assert blocks < _traced_peak(lambda: validate_log(shuffled)) / 2
 
 
 class TestRestrictToTeam:
