@@ -122,8 +122,12 @@ def _team_signals(
     if args.jobs > 1 and len(team_logs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
 
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(team_logs))) as pool:
-            results = list(pool.map(team_signals, team_logs.values(), repeat(cfg)))
+        workers = min(args.jobs, len(team_logs))
+        # the chunks of multiprocessing.Pool.map, ceil(teams / (4 * workers)): a
+        # round trip to a worker per team costs more than a small team's signals
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(team_signals, team_logs.values(), repeat(cfg),
+                                    chunksize=-(-len(team_logs) // (4 * workers))))
     else:
         results = map(team_signals, team_logs.values(), repeat(cfg))
     return dict(zip(team_logs, results)), skipped

@@ -12,15 +12,17 @@ then recipient-name order, so when both actors of a pair send in one second,
 the names decide which one replies. Every signal is computed from a team log,
 the events model.restrict_to_team or model.partition_by_team kept for a
 roster, over that log's own actors. team_signals gets all of them from the
-team log's int columns as they are: PRT is one pass over them with integer
-state, and each window step judges RL and RC only for the actors the window
-pass names as changed.
+team log's int columns as they are: PRT groups the row numbers in buckets
+under each pair's lower id and keeps integer frame state for one bucket at
+a time, and each window step judges RL and RC only for the actors the
+window pass names as changed.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from itertools import count
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .model import EventLog
@@ -102,36 +104,45 @@ def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]])
 
 
 def _response_sums(log: EventLog) -> tuple[float | None, float | None, int]:
-    """PRT-ET, PRT-FN and the closed-frame count, in one integer pass.
+    """PRT-ET, PRT-FN and the closed-frame count, in two integer passes.
 
-    With n the number of the log's actors, per pair key u * n + v (u < v)
-    the pass keeps the open frame's sender, first stamp and event count; per
-    responder, its closed frames F and their summed elapsed times or event
-    counts S. Each mean, sum(w * S / F) / sum(w) with w the events a
-    responder appears in, is summed exactly in integers over the lcm of the
-    Fs and rounded once, so no order of the responders enters it.
+    The first puts each row number, in log order, in an array("i") bucket
+    under its pair's lower actor id. The second walks the buckets one at a
+    time, keeping per pair of bucket a, keyed by its other actor, the open
+    frame's sender, first stamp and event count, cleared for the next
+    bucket: it holds 4 bytes a row and one actor's open frames at once. Per
+    index it counts the events w it appears in, and per responder its
+    closed frames F and their summed elapsed times or event counts S. Each
+    mean, sum(w * S / F) / sum(w), is summed exactly in integers over the
+    lcm of the Fs and rounded once, so no order of the responders enters it.
     """
     stamps, us, vs = log.stamps, log.senders, log.recipients
     n = len(log.names)
-    elapsed, events, frames = [0] * n, [0] * n, [0] * n
-    # pair key -> (sender, first stamp, events); tuples, as lists take a third more memory
+    weight, elapsed, events, frames = [0] * n, [0] * n, [0] * n, [0] * n
+    buckets = [array("i") for _ in range(n)]
+    for i, u, v in zip(count(), us, vs):
+        buckets[u if u < v else v].append(i)
+    # other actor -> (sender, first stamp, events); tuples, as lists take a third more memory
     open_frames: dict[int, tuple[int, int, int]] = {}
-    for t, u, v in zip(stamps, us, vs):
-        key = u * n + v if u < v else v * n + u
-        frame = open_frames.get(key)
-        if frame is None or frame[0] == u:
-            open_frames[key] = (u, t, 1) if frame is None else (u, frame[1], frame[2] + 1)
-            continue
-        # u replies: closes the open frame and opens the next one
-        elapsed[u] += t - frame[1]
-        events[u] += frame[2] + 1
-        frames[u] += 1
-        open_frames[key] = (u, t, 1)
+    for a, rows in enumerate(buckets):
+        open_frames.clear()
+        weight[a] += len(rows)
+        for i in rows:
+            t, u = stamps[i], us[i]
+            key = vs[i] if u == a else u  # a self-loop's key is a, its sender: it closes no frame
+            weight[key] += 1
+            frame = open_frames.get(key)
+            if frame is None or frame[0] == u:
+                open_frames[key] = (u, t, 1) if frame is None else (u, frame[1], frame[2] + 1)
+                continue
+            # u replies: closes the open frame and opens the next one
+            elapsed[u] += t - frame[1]
+            events[u] += frame[2] + 1
+            frames[u] += 1
+            open_frames[key] = (u, t, 1)
     n_closed = sum(frames)
     if not n_closed:
         return None, None, 0
-    weight = Counter(us)  # events each index appears in, as sender or recipient
-    weight.update(vs)
     lcm = math.lcm(*filter(None, frames))
     # responder -> w * lcm / F: each mean is sum(S * scale) / (lcm * sum(w))
     scale = {u: weight[u] * (lcm // f) for u, f in enumerate(frames) if f}
@@ -160,9 +171,9 @@ def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     """Full per-team signal computation: RL, RC and both PRT variants.
 
     team_log holds one team's events: the whole log, or the result of
-    model.restrict_to_team / model.partition_by_team for a roster. One pass
-    over its int columns gives both PRT variants and the closed-frame
-    count, and drops its per-pair state before the grid pass, whose window
+    model.restrict_to_team / model.partition_by_team for a roster. The PRT
+    passes over its int columns give both variants and the closed-frame
+    count, and drop their buckets before the grid pass, whose window
     rows feed the RL and RC extrema counters as they are made: only the
     current window is held, and only a row's changed actors are judged.
     """

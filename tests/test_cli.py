@@ -436,7 +436,7 @@ class TestCorrelate:
             assert written["1", key] == written["2", key]
 
     def test_jobs_capped_at_team_count(self, tmp_path, monkeypatch):
-        started = []
+        started, chunks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -448,7 +448,8 @@ class TestCorrelate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -457,8 +458,40 @@ class TestCorrelate:
         rc = main(["metrics", "--events", str(events), "--teams", str(teams),
                    "--window", "2h", "--step", "1h", "--jobs", "64", "--out", str(tmp_path)])
         assert rc == 0
-        assert started == [2]
+        assert (started, chunks) == ([2], [1])
         assert len((tmp_path / "signals.csv").read_text().splitlines()) == 3
+
+    def test_uneven_chunks_give_the_serial_output(self, tmp_path, capsys):
+        # 13 teams with events over 3 workers go in chunks of ceil(13 / 12) = 2,
+        # the last one a single team; team e1 has none, so a warning is written
+        scenario = {"teams": [
+            {"team_id": f"t{i:02d}", "n_actors": 3 + i % 3, "duration": "1d",
+             "mean_event_rate": 6.0, "rotation_period": "6h" if i % 2 else None,
+             "reply_delay": {"kind": "fixed", "seconds": 60}, "seed": 40 + i}
+            for i in range(13)
+        ]}
+        scen_path = write(tmp_path, "scenario.json", json.dumps(scenario))
+        synth_dir = tmp_path / "synth"
+        assert main(["synth", "--scenario", str(scen_path), "--out", str(synth_dir)]) == 0
+        teams = synth_dir / "teams.csv"
+        teams.write_text(teams.read_text() + "e1,ghost\n")
+        depvars = write(tmp_path, "depvars.csv", "team_id,variable_name,value\n"
+                        + "".join(f"t{i:02d},y,{i * 7 % 13}\n" for i in range(13)))
+        base = ["--events", str(synth_dir / "events.csv"), "--teams", str(teams),
+                "--window", "6h", "--step", "2h", "--depvars", str(depvars)]
+        written = {}
+        for jobs in ("1", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            for command in ("metrics", "correlate"):
+                args = base if command == "correlate" else base[:-2]
+                assert main([command, *args, "--jobs", jobs, "--out", str(out)]) == 0
+                written[jobs, command] = capsys.readouterr().err
+            written[jobs, "files"] = [(out / name).read_bytes()
+                                      for name in ("signals.csv", "correlations.csv")]
+        assert "warning: team 'e1' has no events, row skipped" in written["1", "metrics"]
+        assert len(written["1", "files"][0].splitlines()) == 14
+        for key in ("metrics", "correlate", "files"):
+            assert written["1", key] == written["3", key]
 
     @pytest.mark.parametrize("command", ["metrics", "correlate"])
     @pytest.mark.parametrize("jobs", ["0", "-5"])

@@ -4,9 +4,9 @@ team_signals never holds a per-window series. These tests pin the pieces
 that make that exact: the online counter equals count_extrema and the
 independent scan, unchanged rows arrive as the same objects, the PRT pass
 equals the frame list bit for bit and meets responders in its order, and
-traced memory does not grow with the grid. Each row names the actors whose
-presence, bc or ci changed, and judging only those counts what judging
-whole rows counts.
+traced memory does not grow with the grid, nor the PRT pass's with the
+number of actor pairs. Each row names the actors whose presence, bc or ci
+changed, and judging only those counts what judging whole rows counts.
 """
 
 import tracemalloc
@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, validate_log
-from teamsignals.signals import _ExtremaCounter, rotating_signal, team_signals
+from teamsignals.signals import _ExtremaCounter, _response_sums, rotating_signal, team_signals
 from teamsignals.windows import WindowConfig, _window_rows, series
 
 from .oracles import (
@@ -313,3 +313,16 @@ def test_team_signals_memory_does_not_grow_with_the_grid():
     minutes = _traced_peak(lambda: team_signals(log, WindowConfig(HOUR, 60)))  # 1440 windows
     hours = _traced_peak(lambda: team_signals(log, WindowConfig(HOUR, HOUR)))  # 24 windows
     assert minutes < 2 * hours
+
+
+def test_prt_pass_memory_does_not_grow_with_the_pairs():
+    # every pair of 200 actors sends once, so each of the 19,900 pairs holds
+    # an open frame to the end: a pass keeping every pair's frame holds
+    # about 157 B a row, one keeping a single actor's pairs at a time about 7
+    n = 200
+    actors = [f"a{i:03d}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    log = validate_log(columns(
+        [InteractionEvent(actors[i], actors[j], k) for k, (i, j) in enumerate(pairs)]
+    )).log
+    assert _traced_peak(lambda: _response_sums(log)) < 16 * len(log.stamps)
