@@ -1,15 +1,20 @@
-"""Check that no benchmark workload's output depends on --jobs, hash seed, names or row order.
+"""Check that no benchmark workload's output depends on --jobs, hash seed, names, row order,
+the events file's format and stamp style, or where its stamps lie in time.
 
 Per workload (seed 1) the inputs are written once, and each command runs once
 under PYTHONHASHSEED=1 as the baseline. metrics and correlate at --jobs 2
 (and at --jobs 3 on the workload with a roster, whose teams the pool then
 sends in chunks of another size: 84 teams, not 125), every command under
-PYTHONHASHSEED=2 (rosters are frozensets of strings) and on the inputs
-with the rows of every file shuffled must give its exit code (0), stderr
-and output files; the generated events are time-ordered, so this
-holds validate_log's block sort against its whole-log sort. Under three
-seeded actor relabellings, metrics must give the same teams the same rl and
-rc (the 1e-9 snap of betweenness hides the summation order that names set).
+PYTHONHASHSEED=2 (rosters are frozensets of strings), on the inputs
+with the rows of every file shuffled, on the events written in each of the
+three other (CSV or JSON Lines, RFC 3339 or epoch seconds) pairs, and on
+every stamp shifted by SHIFT seconds (surface.csv's window_end shifted
+back) must give its exit code (0), stderr and output files. The generated
+events are time-ordered, so the shuffle holds validate_log's block sort
+against its whole-log sort. Under three seeded actor relabellings, metrics
+must give the same teams the same rl and rc: the 1e-9 snap of betweenness
+hides the summation order that names set, except for a score within float
+noise of a half-grid point (README, on betweenness).
 validate's event and actor counts and each team's PRT (et and fn) must equal
 bench/reference.py's, computed from the generated rows without the program.
 Prints one line per comparison and a FAILED line per failure; exits 1 on any
@@ -17,7 +22,8 @@ failure. Run from the root:
 PYTHONPATH=src python3 -B .github/workload_checks.py
 """
 
-import csv, dataclasses, io, os, random, subprocess, sys, tempfile  # noqa: E401
+import calendar, csv, dataclasses, io, json, os, random, subprocess, sys  # noqa: E401
+import tempfile, time  # noqa: E401
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -28,6 +34,7 @@ from teamsignals.model import partition_by_team, validate_log  # noqa: E402
 from teamsignals.signals import prompt_response_time  # noqa: E402
 
 failed: list[str] = []
+SHIFT = 12_345_678  # seconds, not a whole hour: a grid anchored anywhere but t_start moves
 
 
 def check(label: str, problems: list[str]) -> None:
@@ -60,6 +67,33 @@ def compare(label: str, base, got) -> None:
     check(f"{label}: the same exit code, stderr and {', '.join(files) or 'files'}", problems)
 
 
+def write_events(wl: workloads.Workload, path: Path) -> None:
+    """wl's rows as CSV or JSON Lines by path's suffix, stamped in epoch seconds if wl.epoch."""
+    stamp = (lambda ts: ts) if wl.epoch else workloads.rfc3339
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if path.suffix == ".jsonl":
+            for r in wl.rows:
+                fh.write(json.dumps({"timestamp": stamp(r.ts), "sender": r.sender,
+                                     "recipients": list(r.recipients)}) + "\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["timestamp", "sender", "recipients"])
+            writer.writerows([stamp(r.ts), r.sender, ";".join(r.recipients)] for r in wl.rows)
+
+
+def unshift(files: dict[str, bytes]) -> dict[str, bytes]:
+    """files with surface.csv's window_end column moved back by SHIFT seconds."""
+    if "surface.csv" not in files:
+        return files
+    head, *rows = files["surface.csv"].decode().splitlines(keepends=True)
+    body = []
+    for row in rows:
+        end, rest = row.split(",", 1)
+        ts = calendar.timegm(time.strptime(end, "%Y-%m-%dT%H:%M:%SZ")) - SHIFT
+        body.append(f"{workloads.rfc3339(ts)},{rest}")
+    return {**files, "surface.csv": "".join([head, *body]).encode()}
+
+
 def rl_rc(files: dict[str, bytes]) -> dict[str, tuple[str, str]]:
     rows = csv.DictReader(io.StringIO(files.get("signals.csv", b"").decode()))
     return {row["team_id"]: (row["rl"], row["rc"]) for row in rows}
@@ -87,6 +121,27 @@ def check_workload(name: str, work: Path) -> None:
     for cmd in shuffled.commands:
         compare(f"{name} {cmd[0]}, shuffled input rows", base[cmd[0]],
                 run(cmd, work / f"shuffled-{cmd[0]}"))
+
+    for suffix, epoch in ((".csv", False), (".csv", True), (".jsonl", False), (".jsonl", True)):
+        if (Path(wl.events_file).suffix, wl.epoch) == (suffix, epoch):
+            continue  # the baseline's own format and stamps
+        variant = dataclasses.replace(wl, events_file="events" + suffix, epoch=epoch)
+        style = "epoch" if epoch else "rfc3339"
+        tag = f"{suffix[1:]}-{style}"
+        workloads.write(variant, work / tag)
+        # write() stamps JSON Lines in RFC 3339 only
+        write_events(variant, work / tag / variant.events_file)
+        for cmd in variant.commands:
+            compare(f"{name} {cmd[0]}, {suffix[1:]} events with {style} stamps", base[cmd[0]],
+                    run(cmd, work / f"{tag}-{cmd[0]}"))
+
+    shifted = dataclasses.replace(
+        wl, rows=[workloads.Row(r.ts + SHIFT, r.sender, r.recipients) for r in wl.rows])
+    workloads.write(shifted, work / "shifted")
+    for cmd in shifted.commands:
+        code, err, files = run(cmd, work / f"shifted-{cmd[0]}")
+        compare(f"{name} {cmd[0]}, every stamp +{SHIFT} s", base[cmd[0]],
+                (code, err, unshift(files)))
 
     expected = rl_rc(base["metrics"][2])
     actors = sorted({a for r in wl.rows for a in (r.sender, *r.recipients)}
@@ -120,8 +175,7 @@ def check_workload(name: str, work: Path) -> None:
                  if wl.teams else {"ALL": log})
     ref = compute(wl)["teams"]
     missed = [t for t, log in team_logs.items() if t not in ref
-              or (prompt_response_time(log, "et"), prompt_response_time(log, "fn"))
-              != (ref[t]["prt_et"], ref[t]["prt_fn"])]
+              or prompt_response_time(log)[:2] != (ref[t]["prt_et"], ref[t]["prt_fn"])]
     check(f"{name} PRT: each of {len(team_logs)} teams' et and fn == the reference's",
           [f"{len(missed)} teams differ, such as {missed[:5]}"] * bool(missed)
           + ["the team set differs"] * (team_logs.keys() != ref.keys()))

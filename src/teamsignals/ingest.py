@@ -178,8 +178,8 @@ def parse_events(path, fmt: str | None = None) -> EventColumns:
 
     ``fmt`` is "csv" or "jsonl"; when omitted it is inferred from the file
     suffix. A row with k recipients expands to k events sharing sender and
-    timestamp. No sorting or deduplication happens here; feed the result to
-    ``model.validate_log``.
+    timestamp. A file with no data rows is a ParseError. No sorting or
+    deduplication happens here; feed the result to ``model.validate_log``.
     """
     path = Path(path)
     if fmt is None:
@@ -214,6 +214,8 @@ def _events(rows, path) -> EventColumns:
             stamps.append(ts)
             senders.append(s)
             recipients.append(ids[r] if r in ids else _new_actor(ids, names, r, path, line))
+    if parse_ts is None:
+        raise ParseError(path, None, "no data rows")
     return EventColumns(tuple(names), stamps, senders, recipients)
 
 

@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import count
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import EventLog
 from .windows import WindowConfig, _window_rows
-
-ResponseVariant = Literal["et", "fn"]
 
 # Shortest present run that can hold an extremum: an interior point needs a
 # neighbor on each side. A shorter grid makes RL and RC 0 (the CLI warns).
@@ -103,18 +101,21 @@ def rotating_signal(rows: Iterable[tuple[int, Sequence[bool], Sequence[float]]])
     return counter.total / len(counter.last)
 
 
-def _response_sums(log: EventLog) -> tuple[float | None, float | None, int]:
-    """PRT-ET, PRT-FN and the closed-frame count, in two integer passes.
+def prompt_response_time(log: EventLog) -> tuple[float | None, float | None, int]:
+    """PRT-ET, PRT-FN and the closed-frame count of a team log.
 
-    The first puts each row number, in log order, in an array("i") bucket
-    under its pair's lower actor id. The second walks the buckets one at a
-    time, keeping per pair of bucket a, keyed by its other actor, the open
-    frame's sender, first stamp and event count, cleared for the next
-    bucket: it holds 4 bytes a row and one actor's open frames at once. Per
-    index it counts the events w it appears in, and per responder its
+    An actor's RCF is the mean elapsed seconds (ET) or event count (FN) of the
+    frames it closed by replying; each PRT weights the RCFs by the events each
+    actor is in, over the actors with one, and is None when no frame closed.
+    The first of two integer passes puts each row number, in log order, in an
+    array("i") bucket under its pair's lower actor id. The second walks the
+    buckets one at a time, keeping per pair of bucket a, keyed by its other
+    actor, the open frame's sender, first stamp and event count, cleared for
+    the next bucket: it holds 4 bytes a row and one actor's open frames at
+    once. Per index it counts the events w it appears in, and per responder its
     closed frames F and their summed elapsed times or event counts S. Each
-    mean, sum(w * S / F) / sum(w), is summed exactly in integers over the
-    lcm of the Fs and rounded once, so no order of the responders enters it.
+    mean, sum(w * S / F) / sum(w), is summed exactly in integers over the lcm
+    of the Fs and rounded once, so no order of the responders enters it.
     """
     stamps, us, vs = log.stamps, log.senders, log.recipients
     n = len(log.names)
@@ -151,34 +152,18 @@ def _response_sums(log: EventLog) -> tuple[float | None, float | None, int]:
     return prt_et, sum(events[u] * k for u, k in scale.items()) / den, n_closed
 
 
-def prompt_response_time(log: EventLog, variant: ResponseVariant) -> float | None:
-    """Communication-weighted mean responsiveness across a team log's actors.
-
-    An actor's responsiveness (RCF) averages the elapsed time in seconds
-    ("et") or the event count ("fn") over the closed frames in which it
-    replied. Each actor's RCF is weighted by the number of events the actor
-    appears in (as sender or recipient). Actors with no defined RCF are
-    excluded from numerator and denominator; returns None when nobody has
-    one. Equals team_signals(log, cfg).prt_et or .prt_fn.
-    """
-    if variant not in ("et", "fn"):
-        raise ValueError(f"unknown variant {variant!r} (expected 'et' or 'fn')")
-    prt_et, prt_fn, _ = _response_sums(log)
-    return prt_et if variant == "et" else prt_fn
-
-
 def team_signals(team_log: EventLog, cfg: WindowConfig) -> TeamSignals:
     """Full per-team signal computation: RL, RC and both PRT variants.
 
     team_log holds one team's events: the whole log, or the result of
-    model.restrict_to_team / model.partition_by_team for a roster. The PRT
-    passes over its int columns give both variants and the closed-frame
-    count, and drop their buckets before the grid pass, whose window
-    rows feed the RL and RC extrema counters as they are made: only the
-    current window is held, and only a row's changed actors are judged.
+    model.restrict_to_team / model.partition_by_team for a roster.
+    prompt_response_time gives both PRT variants and the closed-frame count
+    and drops its buckets before the grid pass, whose window rows feed the
+    RL and RC extrema counters as they are made: only the current window is
+    held, and only a row's changed actors are judged.
     """
     n = len(team_log.names)
-    prt_et, prt_fn, n_closed = _response_sums(team_log)
+    prt_et, prt_fn, n_closed = prompt_response_time(team_log)
     rl, rc = _ExtremaCounter(n), _ExtremaCounter(n)
     for _end, presence, bc_row, ci_row, changed in _window_rows(team_log, cfg, True):
         if changed:

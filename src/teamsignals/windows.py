@@ -26,7 +26,7 @@ floats. The rule cannot cover a true score within noise of a half-grid
 point, where two summation orders could round apart, and such scores occur:
 on the benchmark's email_all seed 1, one window score snaps to
 1228.339499389 or 1228.339499390 by the actor labelling, though no printed
-output moves (ROADMAP D20). A snapped score that
+output moves (ROADMAP D23). A snapped score that
 lands on a 6-decimal half-point prints rounded by its binary value, which
 may differ in the sixth decimal from the exact score rounded.
 

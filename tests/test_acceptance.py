@@ -244,7 +244,7 @@ def test_synthetic_discrimination():
             reply_delay=ReplyDelay.fixed(60), seed=seed,
         )
         log = generate(scenario)
-        assert prompt_response_time(log, "et") == 60.0
+        assert prompt_response_time(log)[0] == 60.0
 
     # uniform(30, 90): mean recovered within 5%
     for seed in range(100):
@@ -253,7 +253,7 @@ def test_synthetic_discrimination():
             reply_delay=ReplyDelay.uniform(30, 90), seed=seed,
         )
         log = generate(scenario)
-        prt = prompt_response_time(log, "et")
+        prt = prompt_response_time(log)[0]
         assert abs(prt - 60.0) <= 3.0, f"seed {seed}: PRT-ET {prt}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

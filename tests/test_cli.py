@@ -56,7 +56,7 @@ class TestValidate:
     def test_empty_log(self, tmp_path, capsys):
         path = write(tmp_path, "events.csv", EVENTS_HEADER)
         assert main(["validate", "--events", str(path)]) == 2
-        assert "empty log" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--events", str(tmp_path / "nope.csv")]) == 2
@@ -744,11 +744,14 @@ class TestInputErrorsExitTwo:
             (["correlate", "--events", "{events}", "--depvars", "{file}", "--out", "{out}"],
              "depvars.csv", "team_id,variable_name,value\ng1,v\x01,1\n",
              "{file}:2: control character U+0001 in variable_name: 'v\\x01'"),
+            (["validate", "--events", "{file}"], "events.csv", "timestamp,sender,recipients\n\n",
+             "{file}: no data rows"),
+            (["validate", "--events", "{file}"], "events.jsonl", "\n \n", "{file}: no data rows"),
         ],
         ids=["empty", "header", "jsonl-keys", "team-id", "depvar-key", "no-depvars", "pick-team",
              "events-width", "depvars-width", "teams-width", "jsonl-duplicate-key", "jsonl-bom",
              "duration-digits", "duration-long-count", "team-id-control", "depvar-team-control",
-             "variable-name-control"],
+             "variable-name-control", "no-events-csv", "no-events-jsonl"],
     )
     def test_error_line(self, tmp_path, capsys, argv, name, text, message):
         where = {"events": alternating_events_file(tmp_path), "file": write(tmp_path, name, text),

@@ -105,11 +105,12 @@ def test_team_signals_equals_per_metric_composition(log, teams, cfg):
             team_log = oracles.restrict_to_team(log, team)
         except EmptyLogError:
             continue
+        prt_et, prt_fn, _ = prompt_response_time(team_log)
         expected = TeamSignals(
             rl=rotating_signal(series(team_log, cfg, "bc")),
             rc=rotating_signal(series(team_log, cfg, "ci")),
-            prt_et=prompt_response_time(team_log, "et"),
-            prt_fn=prompt_response_time(team_log, "fn"),
+            prt_et=prt_et,
+            prt_fn=prt_fn,
             n_actors=len(team_log.names),
             n_events=len(team_log.stamps),
             n_closed_frames=len(closed_frames(team_log)),

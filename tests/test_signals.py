@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from teamsignals import signals
 from teamsignals.model import EventLog, validate_log
 from teamsignals.signals import prompt_response_time, rotating_signal, team_signals
 from teamsignals.windows import WindowConfig, build_snapshots, series
@@ -166,8 +167,7 @@ class TestResponsiveness:
         log = validate_log(columns(
             [ev("x", "y", 0), ev("y", "x", 10), ev("w", "y", 100), ev("y", "w", 130)]
         )).log
-        assert prompt_response_time(log, "et") == 20.0
-        assert team_signals(log, WindowConfig(HOUR, HOUR)).n_closed_frames == 2  # both y's
+        assert prompt_response_time(log) == (20.0, 2.0, 2)  # both y's frames closed
 
     def test_mean_nudges(self):
         log = validate_log(columns(
@@ -176,16 +176,11 @@ class TestResponsiveness:
                 ev("w", "y", 100), ev("w", "y", 110), ev("w", "y", 120), ev("y", "w", 130),
             ]
         )).log
-        assert prompt_response_time(log, "fn") == 3.0
+        assert prompt_response_time(log)[1] == 3.0
 
     def test_never_replied_undefined(self):
         log = validate_log(columns([ev("x", "y", 0)])).log
-        assert prompt_response_time(log, "et") is None
-
-    def test_unknown_variant(self):
-        log = validate_log(columns([ev("x", "y", 0)])).log
-        with pytest.raises(ValueError):
-            prompt_response_time(log, "median")
+        assert prompt_response_time(log) == (None, None, 0)
 
 
 class TestPromptResponseTime:
@@ -199,15 +194,13 @@ class TestPromptResponseTime:
                 ev("u", "z", 200), ev("z", "u", 260),
             ]
         )).log
-        prt = prompt_response_time(log, "et")
-        assert prt == 200.0 / 6.0
+        assert prompt_response_time(log)[0] == 200.0 / 6.0
 
     def test_constant_rcf_is_fixed_point(self):
         log = validate_log(columns(
             [ev("x", "y", 0), ev("y", "x", 50), ev("u", "z", 200), ev("z", "u", 250)]
         )).log
-        assert prompt_response_time(log, "et") == 50.0
-        assert prompt_response_time(log, "fn") == 2.0
+        assert prompt_response_time(log) == (50.0, 2.0, 2)
 
 
 class TestTeamSignals:
@@ -239,6 +232,21 @@ class TestTeamSignals:
         assert sig.rc == 4.0
         assert sig.prt_et == 3600.0
         assert sig.prt_fn == 2.0
+
+    def test_runs_the_prt_pass_once_by_its_module_name(self, monkeypatch):
+        # the traced bench times signals.prompt_response_time as signals.prt_s;
+        # a PRT pass that team_signals reached by another name would read 0
+        calls = []
+
+        def counted(log):
+            calls.append(log)
+            return prompt_response_time(log)
+
+        monkeypatch.setattr(signals, "prompt_response_time", counted)
+        log = validate_log(columns([ev("a", "b", 0), ev("b", "a", 60), ev("a", "c", HOUR)])).log
+        sig = team_signals(log, WindowConfig(HOUR, HOUR))
+        assert len(calls) == 1 and calls[0] is log
+        assert (sig.prt_et, sig.prt_fn, sig.n_closed_frames) == (60.0, 2.0, 1)
 
     def test_reads_the_columns_only(self):
         log = validate_log(columns([ev("a", "b", 0), ev("b", "c", HOUR), ev("c", "a", 2 * HOUR)])).log

@@ -17,7 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teamsignals.model import EventLog, validate_log
-from teamsignals.signals import _ExtremaCounter, _response_sums, rotating_signal, team_signals
+from teamsignals.signals import (
+    _ExtremaCounter,
+    prompt_response_time,
+    rotating_signal,
+    team_signals,
+)
 from teamsignals.windows import WindowConfig, _window_rows, series
 
 from .oracles import (
@@ -325,4 +330,4 @@ def test_prt_pass_memory_does_not_grow_with_the_pairs():
     log = validate_log(columns(
         [InteractionEvent(actors[i], actors[j], k) for k, (i, j) in enumerate(pairs)]
     )).log
-    assert _traced_peak(lambda: _response_sums(log)) < 16 * len(log.stamps)
+    assert _traced_peak(lambda: prompt_response_time(log)) < 16 * len(log.stamps)

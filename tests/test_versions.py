@@ -79,8 +79,8 @@ for _ in range(200):
         tuple("abcdefgh"), array("q", [int(rng.random() * 1e9) for _ in senders]),
         array("i", senders), array("i", [(s + 1 + int(rng.random() * 7)) % 8 for s in senders]),
     )).log
-    print(repr(r), repr(p_value(r, n)), repr(prompt_response_time(log, "et")),
-          repr(prompt_response_time(log, "fn")))
+    prt_et, prt_fn, _ = prompt_response_time(log)
+    print(repr(r), repr(p_value(r, n)), repr(prt_et), repr(prt_fn))
 for _ in range(50):
     n = 2 + int(rng.random() * 39)
     print(repr(brandes_betweenness(random_graph(rng, n, 0.03 + rng.random() * 0.3))))
