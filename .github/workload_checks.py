@@ -1,5 +1,5 @@
 """Check that no benchmark workload's output depends on --jobs, hash seed, names, row order,
-the events file's format and stamp style, or where its stamps lie in time.
+the Python version, the events file's format and stamp style, or where its stamps lie in time.
 
 Per workload (seed 1) the inputs are written once, and each command runs once
 under PYTHONHASHSEED=1 as the baseline. metrics and correlate at --jobs 2
@@ -11,7 +11,10 @@ three other (CSV or JSON Lines, RFC 3339 or epoch seconds) pairs, and on
 every stamp shifted by SHIFT seconds (surface.csv's window_end shifted
 back) must give its exit code (0), stderr and output files. The generated
 events are time-ordered, so the shuffle holds validate_log's block sort
-against its whole-log sort. Under three seeded actor relabellings, metrics
+against its whole-log sort. Every command must give them too under each
+other Python of 3.10 to 3.13 that is found (pyenv's copy, else python3.X on
+PATH, as tests/test_versions.py finds them); one line per version says which
+ran and which was not found. Under three seeded actor relabellings, metrics
 must give the same teams the same rl and rc: the 1e-9 snap of betweenness
 hides the summation order that names set, except for a score within float
 noise of a half-grid point (README, on betweenness).
@@ -26,12 +29,14 @@ import calendar, csv, dataclasses, io, json, os, random, subprocess, sys  # noqa
 import tempfile, time  # noqa: E401
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT)]
 import workloads  # noqa: E402
 from reference import clean_events, compute  # noqa: E402
 from teamsignals.ingest import parse_events, parse_teams  # noqa: E402
 from teamsignals.model import partition_by_team, validate_log  # noqa: E402
 from teamsignals.signals import prompt_response_time  # noqa: E402
+from tests.pythons import CURRENT, OTHERS, find_python  # noqa: E402
 
 failed: list[str] = []
 SHIFT = 12_345_678  # seconds, not a whole hour: a grid anchored anywhere but t_start moves
@@ -44,18 +49,23 @@ def check(label: str, problems: list[str]) -> None:
         print(f"FAILED {label}: {'; '.join(problems)}")
 
 
-def cli(args: list[str], hashseed: str = "1") -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "teamsignals.cli", *args], capture_output=True,
+PYTHONS = {version: find_python(version) for version in OTHERS}
+
+
+def cli(args: list[str], hashseed: str = "1",
+        python: str = sys.executable) -> subprocess.CompletedProcess:
+    return subprocess.run([python, "-m", "teamsignals.cli", *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONHASHSEED": hashseed})
 
 
-def run(cmd: list[str], out: Path, hashseed: str = "1", jobs: str = "1"):
+def run(cmd: list[str], out: Path, hashseed: str = "1", jobs: str = "1",
+        python: str = sys.executable):
     """(exit code, stderr, {file name: bytes}) of cmd writing into out."""
     args = list(cmd)
     args[args.index("--out") + 1] = str(out)
     if "--jobs" in args:
         args[args.index("--jobs") + 1] = jobs
-    done = cli(args, hashseed)
+    done = cli(args, hashseed, python)
     return done.returncode, done.stderr, {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
 
 
@@ -110,6 +120,10 @@ def check_workload(name: str, work: Path) -> None:
                         run(cmd, work / f"jobs{jobs}-{cmd[0]}", jobs=jobs))
         compare(f"{name} {cmd[0]}, PYTHONHASHSEED=2", base[cmd[0]],
                 run(cmd, work / f"hashseed2-{cmd[0]}", hashseed="2"))
+        for version, python in PYTHONS.items():
+            if python:
+                compare(f"{name} {cmd[0]}, Python {version}", base[cmd[0]],
+                        run(cmd, work / f"py{version}-{cmd[0]}", python=python))
 
     shuffled = dataclasses.replace(wl)
     workloads.write(shuffled, work / "shuffled")
@@ -181,6 +195,9 @@ def check_workload(name: str, work: Path) -> None:
           + ["the team set differs"] * (team_logs.keys() != ref.keys()))
 
 
+print(f"baseline: Python {CURRENT} at {sys.executable}")
+for version, python in PYTHONS.items():
+    print(f"Python {version}: {python or 'not found'}")
 for name in ("email_all", "many_teams", "badge_surface"):
     with tempfile.TemporaryDirectory(prefix=f"{name}-") as tmp:
         check_workload(name, Path(tmp))

@@ -69,7 +69,10 @@ def _fmt(value: float | None, places: int = 6) -> str:
 
 
 def _load_log(args) -> CleanedLog:
-    return validate_log(parse_events(args.events, args.format))
+    try:
+        return validate_log(parse_events(args.events, args.format))
+    except EmptyLogError as err:
+        raise EmptyLogError(f"{args.events}: {err}") from None
 
 
 def _window_config(args) -> WindowConfig:

@@ -320,7 +320,8 @@ def parse_teams(path) -> list[Team]:
         roster.add(member)
     if not members:
         raise ParseError(path, None, "no team rows")
-    return [Team(team_id, frozenset(roster)) for team_id, roster in sorted(members.items())]
+    # pop each set as its frozenset is built, so at most one team is held twice
+    return [Team(team_id, frozenset(members.pop(team_id))) for team_id in sorted(members)]
 
 
 def parse_dependent_variables(path) -> dict[tuple[str, str], float]:

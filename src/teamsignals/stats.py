@@ -5,7 +5,8 @@ finite series in r (Abramowitz & Stegun 26.7.3-4), with an absolute error
 of at most 1e-13 for n <= 5000: no iteration, no stats package. Pearson's
 sums are correctly rounded (math.fsum), over samples scaled by a power of
 two, so r is the same on every Python and values of any finite magnitude
-neither overflow nor underflow.
+neither overflow nor underflow. An undefined r (a sample with zero variance)
+is None, as an undefined PRT is.
 """
 
 from __future__ import annotations
@@ -18,14 +19,6 @@ from .signals import TeamSignals
 
 # signal name in correlations.csv -> TeamSignals field, in output order
 SIGNAL_FIELDS = {"RL": "rl", "RC": "rc", "PRT_FN": "prt_fn", "PRT_ET": "prt_et"}
-
-
-class InsufficientDataError(ValueError):
-    """Fewer than three paired observations."""
-
-
-class DegenerateSampleError(ValueError):
-    """A sample with zero variance has no defined correlation."""
 
 
 class NoOverlapError(ValueError):
@@ -41,20 +34,23 @@ def _unit_scaled(values: Sequence[float]) -> list[float]:
     return [math.ldexp(v, shift) for v in values]
 
 
-def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson product-moment correlation of two equal-length vectors."""
+def pearson_r(x: Sequence[float], y: Sequence[float]) -> float | None:
+    """Sample Pearson product-moment correlation of two equal-length vectors.
+
+    None when either sample has zero variance, where r is undefined.
+    """
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     n = len(x)
     if n < 3:
-        raise InsufficientDataError(f"need at least 3 observations, got {n}")
+        raise ValueError(f"need at least 3 observations, got {n}")
     x, y = _unit_scaled(x), _unit_scaled(y)
     mx = math.fsum(x) / n
     my = math.fsum(y) / n
     sxx = math.fsum((v - mx) ** 2 for v in x)
     syy = math.fsum((v - my) ** 2 for v in y)
     if sxx == 0.0 or syy == 0.0:
-        raise DegenerateSampleError("zero variance in sample")
+        return None
     sxy = math.fsum((a - mx) * (b - my) for a, b in zip(x, y))
     r = sxy / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
@@ -73,7 +69,7 @@ def p_value(r: float, n: int) -> float:
     as -0.000.
     """
     if n < 3:
-        raise InsufficientDataError(f"need n >= 3, got {n}")
+        raise ValueError(f"need n >= 3, got {n}")
     if abs(r) > 1.0:
         raise ValueError(f"|r| must be <= 1, got {r}")
     df = n - 2
@@ -89,15 +85,6 @@ def p_value(r: float, n: int) -> float:
     return max(0.0, 1.0 - s * total)
 
 
-def significance_stars(p: float) -> str:
-    """"**" below the 0.01 level, "*" below 0.05, else empty."""
-    if p < 0.01:
-        return "**"
-    if p < 0.05:
-        return "*"
-    return ""
-
-
 class CorrelationCell(NamedTuple):
     """One (dependent variable, signal) correlation with its significance."""
 
@@ -109,7 +96,9 @@ class CorrelationCell(NamedTuple):
 
     @property
     def stars(self) -> str:
-        return significance_stars(self.p_two_tailed)
+        """"**" below the 0.01 level, "*" below 0.05, else empty."""
+        p = self.p_two_tailed
+        return "**" if p < 0.01 else "*" if p < 0.05 else ""
 
 
 def correlate(
@@ -141,9 +130,8 @@ def correlate(
                     f"skipping ({variable}, {signal_name}): only {len(xs)} paired teams"
                 )
                 continue
-            try:
-                r = pearson_r(xs, ys)
-            except DegenerateSampleError:
+            r = pearson_r(xs, ys)
+            if r is None:
                 warnings.warn(f"skipping ({variable}, {signal_name}): zero variance")
                 continue
             cells.append(

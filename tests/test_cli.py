@@ -747,11 +747,13 @@ class TestInputErrorsExitTwo:
             (["validate", "--events", "{file}"], "events.csv", "timestamp,sender,recipients\n\n",
              "{file}: no data rows"),
             (["validate", "--events", "{file}"], "events.jsonl", "\n \n", "{file}: no data rows"),
+            (["validate", "--events", "{file}"], "loops.csv", EVENTS_HEADER + "1,a,a\n2,b,b\n",
+             "{file}: empty log after cleaning"),
         ],
         ids=["empty", "header", "jsonl-keys", "team-id", "depvar-key", "no-depvars", "pick-team",
              "events-width", "depvars-width", "teams-width", "jsonl-duplicate-key", "jsonl-bom",
              "duration-digits", "duration-long-count", "team-id-control", "depvar-team-control",
-             "variable-name-control", "no-events-csv", "no-events-jsonl"],
+             "variable-name-control", "no-events-csv", "no-events-jsonl", "self-loops-only"],
     )
     def test_error_line(self, tmp_path, capsys, argv, name, text, message):
         where = {"events": alternating_events_file(tmp_path), "file": write(tmp_path, name, text),

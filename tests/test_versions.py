@@ -11,7 +11,6 @@ version that is not installed is skipped by name.
 
 import os
 import random
-import shutil
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -19,11 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from .pythons import CURRENT, OTHERS, find_python
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-CURRENT = "%d.%d" % sys.version_info[:2]
-# the interpreter running the tests gives the reference
-OTHERS = [v for v in ("3.10", "3.11", "3.12", "3.13") if v != CURRENT]
 
 WINDOW = ["--window", "6h", "--step", "1h"]
 COMMANDS = [
@@ -168,21 +166,6 @@ def _run_all(python: str, root: Path) -> list:
     return results
 
 
-def _find_python(version: str) -> str | None:
-    """An interpreter that reports this version: pyenv's copy first, then PATH."""
-    candidates = [str(p) for p in sorted(
-        (Path.home() / ".pyenv" / "versions").glob(f"{version}.*/bin/python{version}"))]
-    on_path = shutil.which(f"python{version}")
-    if on_path:
-        candidates.append(on_path)
-    for exe in candidates:
-        probe = subprocess.run([exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
-                               capture_output=True, text=True)
-        if probe.returncode == 0 and probe.stdout.strip() == version:
-            return exe
-    return None
-
-
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     results = _run_all(sys.executable, tmp_path_factory.mktemp(f"py{CURRENT}"))
@@ -197,7 +180,7 @@ def reference(tmp_path_factory):
 
 @pytest.mark.parametrize("version", OTHERS)
 def test_cli_bytes_match_across_versions(version, reference, tmp_path):
-    python = _find_python(version)
+    python = find_python(version)
     if python is None:
         pytest.skip(f"python{version} not found")
     results = _run_all(python, tmp_path)
