@@ -15,9 +15,11 @@ against its whole-log sort. Every command must give them too under each
 other Python of 3.10 to 3.13 that is found (pyenv's copy, else python3.X on
 PATH, as tests/test_versions.py finds them); one line per version says which
 ran and which was not found. Under three seeded actor relabellings, metrics
-must give the same teams the same rl and rc: the 1e-9 snap of betweenness
-hides the summation order that names set, except for a score within float
-noise of a half-grid point (README, on betweenness).
+must give the same teams the same rl and rc, and on email_all and
+badge_surface, series --metric bc must give each actor the column it had
+under its old name and surface --metric bc the same surface.csv: the exact
+betweenness kernel's snapped scores do not depend on names (README, on
+betweenness).
 validate's event and actor counts and each team's PRT (et and fn) must equal
 bench/reference.py's, computed from the generated rows without the program.
 Prints one line per comparison and a FAILED line per failure; exits 1 on any
@@ -109,9 +111,25 @@ def rl_rc(files: dict[str, bytes]) -> dict[str, tuple[str, str]]:
     return {row["team_id"]: (row["rl"], row["rc"]) for row in rows}
 
 
+def bc_commands(wl: workloads.Workload) -> list[list[str]]:
+    """series and surface of betweenness, with the options of wl's metrics command."""
+    metrics = wl.commands[0]
+    common = metrics[1:metrics.index("--jobs")]
+    return [[cmd, *common, "--metric", "bc"] for cmd in ("series", "surface")]
+
+
+def series_columns(files: dict[str, bytes], old=lambda a: a) -> dict[str, list[str]]:
+    """series.csv's columns by header, each actor's under old(actor)."""
+    head, *rows = list(csv.reader(io.StringIO(files.get("series.csv", b"").decode()))) or [[]]
+    return {old(a) if i else a: [row[i] for row in rows] for i, a in enumerate(head)}
+
+
 def check_workload(name: str, work: Path) -> None:
     wl = workloads.build(name, 1, work / "in")
     base = {cmd[0]: run(cmd, work / f"base-{cmd[0]}") for cmd in wl.commands}
+    with_bc = name in ("email_all", "badge_surface")
+    base_bc = {cmd[0]: run(cmd, work / f"base-bc-{cmd[0]}")
+               for cmd in (bc_commands(wl) if with_bc else [])}
     for cmd in wl.commands:
         if cmd[0] in ("metrics", "correlate"):
             # a roster's teams go to the pool in chunks, cut differently for 2 and 3 workers
@@ -174,6 +192,20 @@ def check_workload(name: str, work: Path) -> None:
         check(f"{name} metrics, relabelling {seed}: each of {len(expected)} teams' rl and rc",
               [f"{t} {expected[t]} -> {got.get(t)}" for t in moved[:5]]
               + ["the team set differs"] * (got.keys() != expected.keys()))
+        if not with_bc:
+            continue
+        series_cmd, surface_cmd = bc_commands(relabelled)
+        code, err, files = run(series_cmd, work / f"relabelled{seed}-series")
+        base_code, base_err, base_files = base_bc["series"]
+        want = series_columns(base_files)
+        columns = series_columns(files, dict(zip(names, actors)).get)
+        check(f"{name} series --metric bc, relabelling {seed}: each actor's column",
+              [f"exit code {c}" for c in {code, base_code} if c != 0]
+              + ["stderr differs"] * (err != base_err)
+              + [f"{a} differs" for a in sorted(want) if columns.get(a) != want[a]][:5]
+              + ["the actor set differs"] * (columns.keys() != want.keys()))
+        compare(f"{name} surface --metric bc, relabelling {seed}", base_bc["surface"],
+                run(surface_cmd, work / f"relabelled{seed}-surface"))
 
     events_file = work / "in" / wl.events_file
     done = cli(["validate", "--events", str(events_file)])

@@ -17,18 +17,12 @@ Per-window metrics are betweenness centrality (directed, unweighted,
 unnormalized; multi-edges collapse to simple edges) and the contribution
 index (sent - received) / (sent + received).
 
-Every window's betweenness scores are snapped to the nearest multiple of
-1e-9 (_snapped_betweenness). The kernel's summation order follows the
-sorted names, so equal true scores can differ in their last bits, and the
-extrema rule compares scores exactly. The measured noise is at most
-3.6e-12 against a half-grid of 5e-10, so equal true scores snap to equal
-floats. The rule cannot cover a true score within noise of a half-grid
-point, where two summation orders could round apart, and such scores occur:
-on the benchmark's email_all seed 1, one window score snaps to
-1228.339499389 or 1228.339499390 by the actor labelling, though no printed
-output moves (ROADMAP D23). A snapped score that
-lands on a 6-decimal half-point prints rounded by its binary value, which
-may differ in the sixth decimal from the exact score rounded.
+Every window's betweenness scores are computed exactly, in integers, and
+snapped to the nearest multiple of 1e-9 (brandes_betweenness), so equal
+true scores are equal floats whatever the actor names, and the extrema rule
+compares scores exactly. A snapped score that lands on a 6-decimal
+half-point prints rounded by its binary value, which may differ in the
+sixth decimal from the exact score rounded.
 
 _window_rows, a sliding pass that holds only the current window, is the one
 window builder. Each step recomputes presence and the contribution index
@@ -42,6 +36,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right, insort
+from math import gcd
 from typing import Collection, Iterator, Literal, NamedTuple, Sequence
 
 from .ingest import _echo
@@ -146,30 +141,28 @@ def build_snapshots(log: EventLog, cfg: WindowConfig) -> list[GraphSnapshot]:
     return snapshots
 
 
-_EXACT = 2.0**53  # floats hold every integer below it
-
-
 def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
-    """Unnormalized directed betweenness on an integer-labelled simple graph.
+    """Unnormalized directed betweenness on an integer-labelled simple graph, snapped to 1e-9.
 
     adjacency[v] lists the successors of v. Returns, for each node v, the sum
     over ordered pairs (s, t) with s != v != t of the fraction of shortest
-    s->t paths passing through v, accumulated per source in O(V*E) total.
+    s->t paths passing through v, accumulated per source in O(V*E) total
+    (Brandes, J. Math. Sociol. 2001), rounded half to even to the nearest
+    multiple of 1e-9. A source whose every successor is a sink or leads only
+    back to it is skipped (Baglioni et al., ASONAM 2012): its BFS stops at
+    depth 1 and it adds nothing.
 
-    A source whose every successor is a sink or leads only back to it is
-    skipped (Baglioni et al., ASONAM 2012): its BFS stops at depth 1, and
-    adding its dependencies, all 0.0, to non-negative floats changes no bit.
-
-    The scores are bit for bit those of the int-count Brandes kernel
-    (tests/oracles.py): every float operation is the same, in the same
-    order. Shortest-path counts are floats while below 2**53, where floats
-    hold integers exactly, and ints from there on, so each count converts
-    to a double as an int count does. A node with one shortest path passes
-    1.0 + delta to its one predecessor, which equals (1.0 + delta) / 1 * 1.
-    Adding a 0.0 dependency to a score is left out.
+    The arithmetic is exact, in integers. Path counts sigma are ints; each
+    score is held as num[v] / den over one common denominator, and per source
+    g[w] = delta(w) * den / sigma[w], so a predecessor of w gains
+    den // sigma[w] + g[w] and w's score gains sigma[w] * g[w]. den grows,
+    with num and g, only when a count does not divide it. The snap rounds
+    num * 10**9 / den by divmod, so no labelling of the nodes can move a
+    score, and a score of 0 is 0.0, never -0.0.
     """
     n = len(adjacency)
-    bc = [0.0] * n
+    num = [0] * n
+    den = 1
     unseen = n + 1  # above every level, so one compare passes over an earlier one
     for s in range(n):
         for w in adjacency[s]:
@@ -179,11 +172,11 @@ def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
         else:
             continue  # no successor, or depth 1: contributes nothing
         dist = [unseen] * n
-        sigma = [0.0] * n
+        sigma = [0] * n
         first = [0] * n  # each node's first predecessor
         more: list[list[int] | None] = [None] * n  # the rest, for a node with several
         dist[s] = 0
-        sigma[s] = 1.0
+        sigma[s] = 1
         order = [s]  # visit order and BFS queue: the loop also visits what it appends
         for v in order:
             successors = adjacency[v]
@@ -201,42 +194,44 @@ def brandes_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
                     sigma[w] = sigma_v
                     first[w] = v
                 else:
-                    count = sigma[w] + sigma_v
-                    if count >= _EXACT:  # may be rounded: add exactly, as ints
-                        count = int(sigma[w]) + int(sigma_v)
-                    sigma[w] = count
+                    sigma[w] += sigma_v
                     others = more[w]
                     if others is None:
                         more[w] = [v]
                     else:
                         others.append(v)
-        delta = [0.0] * n
+        g = [0] * n
         # the source is order[0]; it has no predecessors and no score to add
         for w in order[:0:-1]:
             sigma_w = sigma[w]
-            delta_w = delta[w]
-            v = first[w]
-            if sigma_w == 1.0:
-                delta[v] += 1.0 + delta_w
-            else:
-                coeff = (1.0 + delta_w) / sigma_w
-                delta[v] += sigma[v] * coeff
-                others = more[w]
-                if others is not None:
-                    for v in others:
-                        delta[v] += sigma[v] * coeff
-            if delta_w:
-                bc[w] += delta_w
-    return bc
-
-
-def _snapped_betweenness(adjacency: Sequence[Sequence[int]]) -> list[float]:
-    """brandes_betweenness with each score snapped to the nearest multiple of 1e-9.
-
-    Every window score comes from here. 1e9 is exact in binary, so equal
-    rounded integers give equal floats, never -0.0.
-    """
-    return [round(x * 1e9) / 1e9 for x in brandes_betweenness(adjacency)]
+            g_w = g[w]  # 0 on a node that lies on no shortest path: no score to add
+            if sigma_w == 1:  # one predecessor, den // 1 == den
+                g[first[w]] += den + g_w
+                if g_w:
+                    num[w] += g_w
+                continue
+            if den % sigma_w:
+                scale = sigma_w // gcd(den, sigma_w)
+                den *= scale
+                num = [x * scale for x in num]
+                g = [x * scale for x in g]
+                g_w *= scale
+            gain = den // sigma_w + g_w
+            g[first[w]] += gain
+            others = more[w]
+            if others is not None:
+                for v in others:
+                    g[v] += gain
+            if g_w:
+                num[w] += sigma_w * g_w
+    scores = [0.0] * n
+    for v, x in enumerate(num):
+        if x:
+            q, r = divmod(x * 1_000_000_000, den)
+            if 2 * r > den or (2 * r == den and q & 1):
+                q += 1
+            scores[v] = q / 1e9  # 1e9 is exact in binary
+    return scores
 
 
 def betweenness(snapshot: GraphSnapshot) -> dict[ActorId, float]:
@@ -246,7 +241,7 @@ def betweenness(snapshot: GraphSnapshot) -> dict[ActorId, float]:
     adjacency: list[list[int]] = [[] for _ in actors]
     for (src, dst), _count in sorted(snapshot.edges.items()):
         adjacency[index[src]].append(index[dst])
-    scores = _snapped_betweenness(adjacency)
+    scores = brandes_betweenness(adjacency)
     return {a: scores[index[a]] for a in actors}
 
 
@@ -340,7 +335,7 @@ def _window_rows(
                 ci_row[i] = (s - r) / (s + r) if s + r else 0.0
         changed: Collection[int] = moved
         if stale:
-            fresh = _snapped_betweenness(adjacency)
+            fresh = brandes_betweenness(adjacency)
             if fresh != scores:  # scores are never -0.0 or NaN, so equal means the same bits
                 scores = fresh
                 changed = range(n)

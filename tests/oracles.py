@@ -2,9 +2,9 @@
 
 One reference per quantity. Betweenness: bc_path_enumeration (the
 definition), bc_floyd_warshall_batch (path counting over a batch of
-graphs, for the exhaustive small-graph sweep), brandes_reference (int path
-counts, no depth-1 skip: the kernel's bits) and brandes_exact (that loop
-in exact rationals); pair_distances for the scores' global sum. Extrema by
+graphs, for the exhaustive small-graph sweep) and brandes_exact (the
+Brandes loop in exact rationals, no depth-1 skip; snap rounds its scores as
+the kernel does); pair_distances for the scores' global sum. Extrema by
 a groupby scan, frame counts by direction-reversal counting, PRT from the
 frames that segment_frames builds (prt_from_frames), a team log by a plain
 filter over the events (restrict_to_team). validate_events is the
@@ -205,43 +205,6 @@ def reversal_count(senders: list) -> int:
     return sum(1 for i in range(1, len(senders)) if senders[i] != senders[i - 1])
 
 
-def brandes_reference(adjacency) -> list[float]:
-    """The int-count Brandes kernel, every source with a successor: no depth-1 skip.
-
-    windows.brandes_betweenness must give the same bits.
-    """
-    n = len(adjacency)
-    bc = [0.0] * n
-    for s in range(n):
-        if not adjacency[s]:
-            continue
-        dist = [-1] * n
-        sigma = [0] * n
-        preds = [None] * n
-        dist[s] = 0
-        sigma[s] = 1
-        order = [s]
-        for v in order:
-            next_dist = dist[v] + 1
-            sigma_v = sigma[v]
-            for w in adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = next_dist
-                    order.append(w)
-                    sigma[w] = sigma_v
-                    preds[w] = [v]
-                elif dist[w] == next_dist:
-                    sigma[w] += sigma_v
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in order[:0:-1]:
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            bc[w] += delta[w]
-    return bc
-
-
 def brandes_exact(adjacency) -> list[Fraction]:
     """The Brandes kernel in exact rationals: int path counts, Fraction dependencies."""
     n = len(adjacency)
@@ -270,7 +233,7 @@ def brandes_exact(adjacency) -> list[Fraction]:
 
 
 def snap(x) -> float:
-    """x to the nearest multiple of 1e-9, as windows._snapped_betweenness rounds a score."""
+    """x to the nearest multiple of 1e-9, half to even, as brandes_betweenness snaps a score."""
     return round(x * 10**9) / 1e9
 
 

@@ -306,9 +306,10 @@ def _seeded_log(relabel_seed: int | None) -> EventLog:
 
 
 def test_rl_is_exact_under_actor_relabelling():
-    # the sorted actor names set the kernel's summation order; unsnapped,
-    # float noise broke or made ties on this log, and RL read 5.625 under
-    # these names but 5.875 under each of the three relabellings
+    # the sorted actor names number the kernel's nodes; a float kernel's
+    # summation order followed them, and unsnapped, its noise broke or made
+    # ties on this log: RL read 5.625 under these names, 5.875 under each of
+    # the three relabellings
     cfg = WindowConfig(7 * 86400, 86400)
     got = {(s.rl, s.rc) for s in (team_signals(_seeded_log(k), cfg) for k in (None, 0, 1, 2))}
     assert len(got) == 1

@@ -57,7 +57,7 @@ COMMANDS = [
 # floats printed in full: pearson_r, its p_value (n from 3 to 30, so both
 # parities of n - 2) and both PRT variants on seeded random samples and
 # logs, and betweenness on seeded random graphs and on a layered graph with
-# more than 2**53 shortest paths, whose counts mix floats and ints
+# more than 2**53 shortest paths, past which a float count would round
 FLOATS = """
 import random
 from array import array

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamsignals.model import MAX_TIMESTAMP, validate_log
@@ -21,9 +21,11 @@ from .oracles import (
     InteractionEvent,
     columns,
     contribution_index,
+    events_of,
     pair_distances,
     window_ends,
 )
+from .test_one_pass import LOG_ACTORS, configs, logs
 
 HOUR = 3600
 
@@ -232,16 +234,22 @@ class TestSeries:
         cfg = WindowConfig(2 * HOUR, HOUR)
         assert list(series(log, cfg, "bc")) == list(series(log, cfg, "bc"))
 
-    def test_relabeling_permutes_values(self):
-        events = [ev("a", "b", 0), ev("b", "c", 1800), ev("c", "a", 4000), ev("a", "c", 5000)]
-        relabeled = [ev(e.sender.replace("a", "z"), e.recipient.replace("a", "z"), e.timestamp) for e in events]
-        cfg = WindowConfig(2 * HOUR, HOUR)
+    @settings(deadline=None)
+    @given(logs, configs, st.permutations(LOG_ACTORS))
+    def test_relabeling_permutes_values(self, log, cfg, names):
+        # each actor keeps its own values, bit for bit, under its new name
+        rename = dict(zip(LOG_ACTORS, names))
+        relabeled = validate_log(columns(
+            ev(rename[e.sender], rename[e.recipient], e.timestamp) for e in events_of(log)
+        )).log
+        where = [relabeled.names.index(rename[a]) for a in log.names]
         for metric in ("bc", "ci"):
-            ours = list(series(validate_log(columns(events)).log, cfg, metric))
-            theirs = list(series(validate_log(columns(relabeled)).log, cfg, metric))
-            assert len(ours) == len(theirs)
-            for (_, _, mine), (_, _, other) in zip(ours, theirs):
-                assert sorted(mine) == sorted(other)
+            ours = list(series(log, cfg, metric))
+            theirs = list(series(relabeled, cfg, metric))
+            assert [end for end, _, _ in theirs] == [end for end, _, _ in ours]
+            for (_, presence, mine), (_, presence2, other) in zip(ours, theirs):
+                assert [presence2[j] for j in where] == presence
+                assert [other[j] for j in where] == mine
 
     def test_unknown_metric(self):
         log = validate_log(columns([ev("a", "b", 0), ev("b", "a", 10)])).log
