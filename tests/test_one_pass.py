@@ -292,6 +292,21 @@ def test_snapped_scores_equal_the_exact_scores_snapped(adjacency):
     assert brandes_betweenness(adjacency) == [snap(x) for x in brandes_exact(adjacency)]
 
 
+@settings(deadline=None, max_examples=200)
+@given(larger_graphs(), st.randoms(use_true_random=False))
+def test_kernel_is_bit_identical_up_to_40_nodes(adjacency, rnd):
+    # the same graph under another node labelling: each node's score keeps
+    # its bits, as the sums no longer depend on the order nodes are visited in
+    n = len(adjacency)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    relabelled: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        relabelled[perm[u]] = sorted(perm[v] for v in adjacency[u])
+    scores, moved = brandes_betweenness(adjacency), brandes_betweenness(relabelled)
+    assert [moved[perm[u]] for u in range(n)] == scores
+
+
 def _most_shortest_paths(adjacency) -> int:
     """The largest shortest-path count over all ordered pairs, counted with ints."""
     most = 0
